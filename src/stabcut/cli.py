@@ -44,14 +44,14 @@ from .benchmarks import BENCHMARKS, KNOWN_OPTIMA
 from .engine import cutting_plane_run
 from .facets import (
     ORACLE_LIMIT,
+    _dimension_pair,
     face_dimension,
     facet_report,
     condition_report,
     find_witnesses,
     witness_from_trace,
 )
-from .graph import Graph, read_dimacs
-from .graph import random_graph
+from .graph import Graph, random_graph, read_dimacs
 from .lifting import (
     Inequality,
     LiftingAborted,
@@ -170,10 +170,10 @@ def _bound_job(job):
     return rep
 
 
-def _bound_row(g, alpha, procedure, rep, with_times, seeds=""):
+def _bound_row(g, alpha, procedure, rep, with_times):
     counts = rep.cut_counts or {}
-    return [g.name or "?", str(g.n), "%.4f" % _density(g),
-            "" if alpha is None else str(alpha), procedure, str(seeds),
+    return [g.name or "?", str(g.n), "%.4f" % g.density(),
+            "" if alpha is None else str(alpha), procedure, "",
             str(rep.lower_bound), "%.6f" % rep.z0, "%.6f" % rep.bound,
             str(counts.get("clique", 0)), str(counts.get("rank", 0)),
             str(counts.get("weighted", 0)), rep.status,
@@ -184,11 +184,6 @@ def _error_row(name, message):
     row = [name, "", "", "", "", "", "", "", "", "", "", "",
            "error: %s" % message, ""]
     return row
-
-
-def _density(g: Graph) -> float:
-    pairs = g.n * (g.n - 1) // 2
-    return g.num_edges() / pairs if pairs else 0.0
 
 
 def _emit(rows, fmt, header=COLUMNS):
@@ -247,15 +242,11 @@ def cmd_bound(args) -> int:
 
 def _run_jobs(fn, jobs, workers):
     """Run jobs in order, trapping per-job exceptions as results."""
-    def guarded(job):
-        try:
-            return fn(job)
-        except Exception as exc:
-            return exc
+    call = _GuardedCall(fn)
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_GuardedCall(fn), jobs))
-    return [guarded(job) for job in jobs]
+            return list(pool.map(call, jobs))
+    return [call(job) for job in jobs]
 
 
 class _GuardedCall:
@@ -275,12 +266,12 @@ def cmd_separate(args) -> int:
     g = load_instance(args.graph, args.complement)
     point = _parse_point(args.point, g.n)
     procs = _parse_procs(args.proc)
+    if "clique" in procs:
+        raise SystemExit("separate needs a lifting procedure; "
+                         "use --proc b or --proc s")
     params = _build_params(args)
     rows, payload, ok = [], [], True
     for procedure in procs:
-        if procedure == "clique":
-            raise SystemExit("separate needs a lifting procedure; "
-                             "use --proc b or --proc s")
         rng = random.Random(_derived_seed(args.seed, procedure))
         outcome = sep_for_stab(g, point, params=params,
                                procedure=procedure, rng=rng)
@@ -343,9 +334,8 @@ def cmd_verify(args) -> int:
         viol = "%.6f" % ineq.violation(point) if point is not None else ""
         facet = ""
         if report.valid and g.n <= ORACLE_LIMIT:
-            whole = face_dimension(g, [])
-            tight = face_dimension(g, [ineq])
-            facet = str(tight.affine_dim == whole.affine_dim - 1)
+            whole, tight = _dimension_pair(g, (), ineq)
+            facet = str(tight == whole - 1)
         witness = "" if report.valid else " ".join(map(str, report.witness))
         rows.append([path, verdict, str(report.lhs_max), str(ineq.rhs),
                      witness, replay, viol, facet])
@@ -375,10 +365,7 @@ def cmd_facet_check(args) -> int:
 
     reports = []
     for witness in witnesses:
-        entry = {"k": witness.k,
-                 "classes": [list(c) for c in witness.classes]}
-        if witness.representative is not None:
-            entry["representative"] = list(witness.representative)
+        entry = witness.to_payload()
         entry["conditions"] = condition_report(trace, witness, seed=seed)
         entry["predicted_facet"] = all(entry["conditions"].values())
         if trace.base.n <= ORACLE_LIMIT and seed is not None:
@@ -416,12 +403,7 @@ def _bench_job(job):
     g = random_graph(n, density, seed=rep_seed)
     report = cutting_plane_run(g, params=params, procedure=procedure,
                                time_limit=time_limit, seed=run_seed)
-    alpha = None
-    if n <= EXACT_ALPHA_LIMIT:
-        res = maximum_stable_set(g)
-        if res.proven_optimal:
-            alpha = int(res.best_value)
-    return _density(g), alpha, report
+    return g.density(), _known_alpha(g, False), report
 
 
 def cmd_bench(args) -> int:
@@ -481,6 +463,13 @@ def cmd_bench(args) -> int:
                     if args.with_times else ""])
     _emit(rows, args.format)
     return 0 if ok else 1
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def _add_param_flags(sub):
@@ -566,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = subs.add_parser("bench", help="random graph suite")
     r.add_argument("--sizes", default="20,30")
     r.add_argument("--densities", default="0.3,0.5")
-    r.add_argument("--reps", type=int, default=5,
+    r.add_argument("--reps", type=_positive_int, default=5,
                    help="instances per cell")
     r.add_argument("--proc", default="c,b,s")
     r.add_argument("--jobs", type=int, default=1)

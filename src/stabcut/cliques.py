@@ -41,32 +41,6 @@ def grow_clique(g: Graph, point, seed: int, covered: int = 0,
     return tuple(sorted(clique))
 
 
-def _greedy_pass(g, point, covered, prefer_uncovered, rng):
-    tie = _tiebreak(g.n, rng)
-    out = []
-    while covered != g.full_mask:
-        seed = min((v for v in range(g.n) if not covered >> v & 1),
-                   key=lambda u: (-point[u], tie[u]))
-        clique = grow_clique(g, point, seed, covered, prefer_uncovered, tie)
-        for v in clique:
-            covered |= 1 << v
-        out.append(clique)
-    return out, covered
-
-
-def greedy_cliques_by_weight(g: Graph, point, covered: int = 0, rng=None):
-    """Cover the uncovered vertices with greedy cliques, always extending by
-    the heaviest compatible vertex. Returns (cliques, covered mask); covered
-    grows by every grown clique whether or not the caller keeps it."""
-    return _greedy_pass(g, point, covered, False, rng)
-
-
-def greedy_cliques_by_coverage(g: Graph, point, covered: int = 0, rng=None):
-    """Like greedy_cliques_by_weight, but clique growth prefers vertices that
-    are still uncovered, so passes overlap less and cover faster."""
-    return _greedy_pass(g, point, covered, True, rng)
-
-
 def enumerate_cliques_bounded(g: Graph, point, limit: int = 1000):
     """Maximal cliques by depth-first expansion with pivoting, cut off after
     limit cliques. Returns (cliques, best) with best the heaviest clique found

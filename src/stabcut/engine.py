@@ -107,10 +107,6 @@ def cutting_plane_run(g: Graph, params: SeparationParams = None,
     z0 = None
     counts = {"clique": 0, "rank": 0, "weighted": 0}
     rounds = 0
-    status = "no_more_cuts"
-    x = [0.0] * g.n
-    bound = float(g.n)
-
     warm = None
     while True:
         res = lp_solve(g.n, rows, warm=warm)

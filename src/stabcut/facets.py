@@ -274,6 +274,16 @@ def face_dimension(g: Graph, equalities) -> DimensionCertificate:
     return DimensionCertificate(dim, chosen)
 
 
+def _dimension_pair(g: Graph, cliques, ineq):
+    """Affine dimensions of the face where every given clique inequality is
+    tight, and of its subface where ineq is tight too; ineq defines a facet
+    of the face exactly when the second is one less than the first."""
+    equalities = [clique_inequality(w) for w in cliques]
+    whole = face_dimension(g, equalities)
+    tight = face_dimension(g, equalities + [ineq])
+    return whole.affine_dim, tight.affine_dim
+
+
 def _face_masks(g, cliques):
     """Stable sets meeting each of the given cliques exactly once."""
     cmasks = [mask_of(w) for w in cliques]
@@ -287,10 +297,9 @@ def assert_facet_of_Ft(trace: ProjectionTrace, witness: FacetWitness,
     level-t face: its tight set must lose exactly one affine dimension."""
     if cut.level_form(trace.r) != clique_inequality(seed):
         raise ValueError("cut was not seeded by the given clique")
-    equalities = [clique_inequality(w) for w in trace.cliques[:t]]
-    whole = face_dimension(trace.base, equalities)
-    tight = face_dimension(trace.base, equalities + [cut.level_form(t)])
-    return tight.affine_dim == whole.affine_dim - 1
+    whole, tight = _dimension_pair(trace.base, trace.cliques[:t],
+                                   cut.level_form(t))
+    return tight == whole - 1
 
 
 def verify_class_equality(g: Graph, trace: ProjectionTrace,
@@ -394,12 +403,10 @@ def facet_report(trace: ProjectionTrace, witness: FacetWitness,
     conditions = condition_report(trace, witness,
                                   seed if seed is not None else cut.seed)
     predicted = all(conditions.values())
-    equalities = [clique_inequality(w) for w in trace.cliques[:t]]
-    whole = face_dimension(trace.base, equalities)
-    tight = face_dimension(trace.base, equalities + [cut.level_form(t)])
-    facet = tight.affine_dim == whole.affine_dim - 1
-    return FacetReport(conditions, predicted, whole.affine_dim,
-                       tight.affine_dim, facet,
+    whole, tight = _dimension_pair(trace.base, trace.cliques[:t],
+                                   cut.level_form(t))
+    facet = tight == whole - 1
+    return FacetReport(conditions, predicted, whole, tight, facet,
                        facet if predicted else True)
 
 

@@ -28,6 +28,20 @@ class DimacsError(ValueError):
         self.lineno = lineno
 
 
+def _add_edges(adj, edges):
+    """Set both bits of every edge in the adjacency masks, in place, after
+    rejecting self-loops and endpoints outside 0..len(adj)-1."""
+    n = len(adj)
+    for u, v in edges:
+        if u == v:
+            raise ValueError("self-loop at vertex %d" % u)
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
 class Graph:
     """Immutable simple graph. adj[v] is the neighbor bitmask of vertex v.
 
@@ -36,36 +50,36 @@ class Graph:
     """
 
     def __init__(self, n: int, edges=(), name: str = ""):
-        adj = [0] * n
-        for u, v in edges:
-            if u == v:
-                raise ValueError("self-loop at vertex %d" % u)
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        adj = _add_edges([0] * n, edges)
         self.n = n
         self.adj = tuple(adj)
         self.name = name
         self.full_mask = (1 << n) - 1
 
     @classmethod
-    def from_adjacency(cls, adj, name: str = "") -> Graph:
+    def _trusted(cls, adj, name: str) -> Graph:
+        """Graph over adjacency masks already known to be valid; the one
+        constructor that skips validation."""
         g = cls.__new__(cls)
         g.n = len(adj)
         g.adj = tuple(adj)
         g.name = name
         g.full_mask = (1 << g.n) - 1
-        for v in range(g.n):
-            if adj[v] >> g.n:
-                raise ValueError("adjacency mask of %d exceeds n=%d" % (v, g.n))
+        return g
+
+    @classmethod
+    def from_adjacency(cls, adj, name: str = "") -> Graph:
+        n = len(adj)
+        for v in range(n):
+            if adj[v] >> n:
+                raise ValueError("adjacency mask of %d exceeds n=%d" % (v, n))
             if adj[v] & (1 << v):
                 raise ValueError("self-loop at vertex %d" % v)
-        for v in range(g.n):
+        for v in range(n):
             for u in bits(adj[v]):
                 if not adj[u] & (1 << v):
                     raise ValueError("asymmetric adjacency between %d and %d" % (u, v))
-        return g
+        return cls._trusted(adj, name)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -116,20 +130,8 @@ class Graph:
 
     def with_edges(self, extra, name: str = "") -> Graph:
         """New graph with the given extra edges added."""
-        adj = list(self.adj)
-        for u, v in extra:
-            if u == v:
-                raise ValueError("self-loop at vertex %d" % u)
-            if not (0 <= u < self.n) or not (0 <= v < self.n):
-                raise ValueError("edge (%d, %d) out of range" % (u, v))
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        g = Graph.__new__(Graph)
-        g.n = self.n
-        g.adj = tuple(adj)
-        g.name = name or self.name
-        g.full_mask = self.full_mask
-        return g
+        adj = _add_edges(list(self.adj), extra)
+        return Graph._trusted(adj, name or self.name)
 
     def induced_subgraph(self, vertices):
         """Subgraph induced by the given vertices.
@@ -146,20 +148,12 @@ class Graph:
             for u in bits(self.adj[v] & keep):
                 m |= 1 << index[u]
             adj.append(m)
-        g = Graph.__new__(Graph)
-        g.n = len(back)
-        g.adj = tuple(adj)
-        g.name = self.name
-        g.full_mask = (1 << g.n) - 1
-        return g, back
+        return Graph._trusted(adj, self.name), back
 
     def complement(self, name: str = "") -> Graph:
-        g = Graph.__new__(Graph)
-        g.n = self.n
-        g.adj = tuple(self.full_mask & ~a & ~(1 << v) for v, a in enumerate(self.adj))
-        g.name = name or (self.name + "-complement" if self.name else "")
-        g.full_mask = self.full_mask
-        return g
+        name = name or (self.name + "-complement" if self.name else "")
+        adj = [self.full_mask & ~a & ~(1 << v) for v, a in enumerate(self.adj)]
+        return Graph._trusted(adj, name)
 
 
 def random_graph(n: int, density: float, seed: int) -> Graph:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of
 from .mwss import (
     ConstrainedMwssQuery,
+    _Budget,
     enumerate_stable_sets,
     max_weight_stable_set,
     solve_constrained,
@@ -114,16 +114,6 @@ def clique_inequality(w) -> Inequality:
     return Inequality({v: 1 for v in w}, 1)
 
 
-def lift_once(ineq: Inequality, w, lam) -> Inequality:
-    """Single published lifting step: coefficients drop by lam on w and the
-    right side drops by lam, so lam = 0 leaves the inequality alone and
-    negative factors raise both sides."""
-    coeffs = dict(ineq.coeffs)
-    for v in w:
-        coeffs[v] = coeffs.get(v, 0) - lam
-    return Inequality(coeffs, ineq.rhs - lam)
-
-
 @dataclass
 class LiftedCut:
     """A fully lifted inequality plus everything needed to replay it."""
@@ -156,17 +146,46 @@ def _resolve_seed(trace, seed, lift_from):
     return trace, tuple(sorted(seed))
 
 
-class _Deadline:
-    def __init__(self, seconds):
-        self.at = None if seconds is None else time.monotonic() + seconds
-
-    def remaining(self):
-        if self.at is None:
-            return None
-        left = self.at - time.monotonic()
-        if left <= 0:
+def _lift(trace, seed, lift_from, time_budget, procedure, solve_step):
+    """The lifting frame shared by both procedures: walk the trace backwards
+    from the seed clique inequality, asking solve_step(trace, t, f, seconds)
+    for the stable set solve that fixes the factor of step t. An infeasible
+    solve contributes factor 0, any other the gap to the right side."""
+    trace, seed = _resolve_seed(trace, seed, lift_from)
+    if not seed or not trace.final_graph.is_clique(seed):
+        raise ValueError("seed %r is not a clique of the final graph" % (seed,))
+    budget = _Budget(time_budget)
+    f = clique_inequality(seed)
+    factors = []
+    for t in range(trace.r, 0, -1):
+        seconds = budget.remaining()
+        if seconds is not None and seconds <= 0:
             raise LiftingAborted("lifting time budget exhausted")
-        return left
+        res = solve_step(trace, t, f, seconds)
+        if not res.proven_optimal:
+            raise LiftingAborted("factor solve at step %d timed out" % t)
+        lam = 0 if res.infeasible else res.best_value - f.rhs
+        factors.append(lam)
+        f = f.add_step(trace.cliques[t - 1], lam)
+    factors.reverse()
+    return LiftedCut(f, trace, seed, tuple(factors), procedure)
+
+
+def _basic_step(trace, t, f, seconds):
+    g = trace.graph_at(t - 1)
+    return max_weight_stable_set(
+        g, f.as_weights(g.n),
+        within=g.full_mask & ~mask_of(trace.cliques[t - 1]),
+        time_budget=seconds)
+
+
+def _strengthened_step(trace, t, f, seconds):
+    return solve_constrained(ConstrainedMwssQuery(
+        trace.base, f.as_weights(trace.base.n),
+        cover_cliques=trace.cliques[:t - 1],
+        avoid_cliques=(trace.cliques[t - 1],),
+        time_budget=seconds,
+        reference=trace.graph_at(t - 1)))
 
 
 def basic_lift(trace: ProjectionTrace, seed=None, lift_from=None,
@@ -175,27 +194,7 @@ def basic_lift(trace: ProjectionTrace, seed=None, lift_from=None,
     f_t over stable sets of graph_at(t-1) that avoid W_t, and move by the gap
     to the right side. Nonpositive coefficients are dropped inside the solver;
     stable sets are closed under removal, so the optimum is unchanged."""
-    trace, seed = _resolve_seed(trace, seed, lift_from)
-    g_final = trace.final_graph
-    if not seed or not g_final.is_clique(seed):
-        raise ValueError("seed %r is not a clique of the final graph" % (seed,))
-    deadline = _Deadline(time_budget)
-    f = clique_inequality(seed)
-    factors = []
-    for t in range(trace.r, 0, -1):
-        w = trace.cliques[t - 1]
-        g = trace.graph_at(t - 1)
-        res = max_weight_stable_set(
-            g, f.as_weights(g.n),
-            within=g.full_mask & ~mask_of(w),
-            time_budget=deadline.remaining())
-        if not res.proven_optimal:
-            raise LiftingAborted("factor solve at step %d timed out" % t)
-        lam = res.best_value - f.rhs
-        factors.append(lam)
-        f = f.add_step(w, lam)
-    factors.reverse()
-    return LiftedCut(f, trace, seed, tuple(factors), "basic")
+    return _lift(trace, seed, lift_from, time_budget, "basic", _basic_step)
 
 
 def strengthened_lift(trace: ProjectionTrace, seed=None, lift_from=None,
@@ -204,37 +203,14 @@ def strengthened_lift(trace: ProjectionTrace, seed=None, lift_from=None,
     step t, maximize f_t over stable sets of the base graph that meet each of
     W_1 .. W_{t-1} exactly once and avoid W_t. An empty feasible region
     contributes factor 0."""
-    trace, seed = _resolve_seed(trace, seed, lift_from)
-    g_final = trace.final_graph
-    if not seed or not g_final.is_clique(seed):
-        raise ValueError("seed %r is not a clique of the final graph" % (seed,))
-    deadline = _Deadline(time_budget)
-    base = trace.base
-    f = clique_inequality(seed)
-    factors = []
-    for t in range(trace.r, 0, -1):
-        query = ConstrainedMwssQuery(
-            base, f.as_weights(base.n),
-            cover_cliques=trace.cliques[:t - 1],
-            avoid_cliques=(trace.cliques[t - 1],),
-            time_budget=deadline.remaining(),
-            reference=trace.graph_at(t - 1))
-        res = solve_constrained(query)
-        if not res.proven_optimal:
-            raise LiftingAborted("factor solve at step %d timed out" % t)
-        lam = 0 if res.infeasible else res.best_value - f.rhs
-        factors.append(lam)
-        f = f.add_step(trace.cliques[t - 1], lam)
-    factors.reverse()
-    return LiftedCut(f, trace, seed, tuple(factors), "strengthened")
+    return _lift(trace, seed, lift_from, time_budget, "strengthened",
+                 _strengthened_step)
 
 
 def cut_to_json(cut: LiftedCut) -> str:
     """Serialize a lifted cut with everything needed to replay it."""
     payload = {
-        "inequality": {"coeffs": {str(v): c for v, c in
-                                  sorted(cut.inequality.coeffs.items())},
-                       "rhs": cut.inequality.rhs},
+        "inequality": json.loads(cut.inequality.to_json()),
         "trace": json.loads(trace_to_json(cut.trace)),
         "seed": list(cut.seed),
         "factors": list(cut.factors),
@@ -248,9 +224,7 @@ def cut_from_json(text: str) -> LiftedCut:
     taken at face value; replay_consistent() tells whether it still matches
     the seed and factors."""
     payload = json.loads(text)
-    ineq = Inequality({int(v): c for v, c in
-                       payload["inequality"]["coeffs"].items()},
-                      payload["inequality"]["rhs"])
+    ineq = Inequality.from_json(json.dumps(payload["inequality"]))
     trace = trace_from_json(json.dumps(payload["trace"]))
     return LiftedCut(ineq, trace, tuple(payload["seed"]),
                      tuple(payload["factors"]), payload["procedure"])

@@ -33,13 +33,21 @@ class MwssResult:
 
 
 class _Budget:
-    """Node counter with optional wall-clock and node-count limits."""
+    """Node counter with optional wall-clock and node-count limits. Lifting
+    also uses one as the deadline shared by all factor solves of a lift."""
 
     def __init__(self, seconds=None, max_nodes=None):
         self.deadline = None if seconds is None else time.monotonic() + seconds
         self.max_nodes = max_nodes
         self.nodes = 0
         self.exhausted = False
+
+    def remaining(self):
+        """Seconds left before the deadline (negative once past it), or None
+        when there is no wall-clock limit."""
+        if self.deadline is None:
+            return None
+        return self.deadline - time.monotonic()
 
     def tick(self) -> bool:
         if self.exhausted:

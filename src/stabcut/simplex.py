@@ -84,12 +84,6 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
     lower = np.zeros(total)
     upper = np.concatenate([np.ones(n), np.full(m, np.inf)])
 
-    basis = list(range(n, total))
-    is_basic = np.zeros(total, dtype=bool)
-    is_basic[n:] = True
-    at_upper = np.zeros(total, dtype=bool)
-    binv = np.eye(m)
-
     # A strictly increasing nudge on each right side makes every ratio test
     # winner unique, so pivots strictly improve and the massive degeneracy of
     # overlapping clique rows cannot trap or corrupt the walk. Costs are
@@ -97,9 +91,6 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
     # for the real one; the cleanup below recomputes the exact point and
     # falls back to a plain solve in the rare case it is not primal feasible.
     nudge = 1e-7 * np.arange(1, m + 1)
-    perturb = nudge
-    b_solve = b + perturb
-    xb = b_solve.copy()
     dropped = False
 
     if max_iterations is None:
@@ -112,12 +103,38 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
     iterations = 0
     status = "stalled"
 
+    def basic_solution(rhs):
+        # values of the basic variables with every nonbasic one at its bound
+        vals = np.where(at_upper, upper, lower)
+        vals[is_basic] = 0.0
+        return binv @ (rhs - acols @ vals)
+
+    def bound_violation(vec):
+        # how far each basic value lies outside its bounds; <= 0 inside
+        return np.maximum(lower[basis] - vec, vec - upper[basis])
+
+    def pivot(r, j, w, step, leaving_at_upper):
+        # column j enters the basis at row r after every basic value moved
+        # by step along w; the leaving variable rests at the bound named by
+        # leaving_at_upper. Updates the basis inverse row by row.
+        nonlocal xb
+        xb -= step * w
+        leaving = basis[r]
+        is_basic[leaving] = False
+        at_upper[leaving] = leaving_at_upper
+        basis[r] = j
+        is_basic[j] = True
+        xb[r] = (upper[j] if at_upper[j] else lower[j]) + step
+        at_upper[j] = False
+        binv[r] /= w[r]
+        for i in range(m):
+            if i != r and abs(w[i]) > 1e-14:
+                binv[i] -= w[i] * binv[r]
+
     def refactor():
         nonlocal binv, xb
         binv = np.linalg.inv(acols[:, basis])
-        vals = np.where(at_upper, upper, lower)
-        vals[is_basic] = 0.0
-        xb = binv @ (b_solve - acols @ vals)
+        xb = basic_solution(b_solve)
 
     def reset_to_slacks():
         nonlocal basis, is_basic, at_upper, binv, xb, perturb, b_solve
@@ -133,6 +150,9 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
         binv = np.eye(m)
         xb = b_solve.copy()
 
+    # the walk starts from the all-slack basis with the nudge in place
+    reset_to_slacks()
+
     def dual_repair():
         # Restore primal feasibility of a dual feasible basis after the
         # right side changed under it. Each step kicks the most violated
@@ -141,16 +161,15 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
         # bounded dual ratio test. Used after dropping the rhs nudge and
         # after installing a warm basis, where only the appended rows are
         # out of bounds and a short run of pivots suffices.
-        nonlocal xb, basis, is_basic, at_upper, binv, iterations
+        nonlocal xb, iterations
         for _ in range(m + 200):
             iterations += 1
-            gap_low = lower[basis] - xb
-            gap_up = xb - upper[basis]
-            worst_arr = np.maximum(gap_low, gap_up)
-            r = int(np.argmax(worst_arr))
-            if worst_arr[r] <= 1e-8:
+            violation = bound_violation(xb)
+            r = int(np.argmax(violation))
+            if violation[r] <= 1e-8:
                 return True
-            below = bool(gap_low[r] > gap_up[r])
+            # row r breaks exactly one of its bounds, as lower <= upper
+            below = bool(xb[r] < lower[basis[r]])
             y = c[basis] @ binv
             d = c - y @ acols
             alpha = binv[r] @ acols
@@ -177,19 +196,7 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
                 at_upper[j] = not at_upper[j]
                 xb -= sigma * span * w
                 continue
-            xb -= sigma * t * w
-            leaving = basis[r]
-            is_basic[leaving] = False
-            at_upper[leaving] = not below
-            basis[r] = j
-            is_basic[j] = True
-            xb[r] = (upper[j] if at_upper[j] else lower[j]) + sigma * t
-            at_upper[j] = False
-            pivot = w[r]
-            binv[r] /= pivot
-            for i in range(m):
-                if i != r and abs(w[i]) > 1e-14:
-                    binv[i] -= w[i] * binv[r]
+            pivot(r, j, w, sigma * t, not below)
         return False
 
     if warm is not None:
@@ -217,9 +224,7 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
                 at_upper = np.zeros(total, dtype=bool)
                 at_upper[:n + m_old] = np.asarray(old_at_upper, dtype=bool)
                 at_upper[is_basic] = False
-                vals = np.where(at_upper, upper, lower)
-                vals[is_basic] = 0.0
-                xb = binv @ (b_solve - acols @ vals)
+                xb = basic_solution(b_solve)
                 if not dual_repair():
                     reset_to_slacks()
                 since_refactor = 1
@@ -237,13 +242,8 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
                 refactor()
                 since_refactor = 0
                 continue
-            vals = np.where(at_upper, upper, lower)
-            vals[is_basic] = 0.0
-            true_xb = binv @ (b - acols @ vals)
-            bounds_low = np.array([lower[v] for v in basis])
-            bounds_up = np.array([upper[v] for v in basis])
-            worst = float(np.max(np.maximum(bounds_low - true_xb,
-                                            true_xb - bounds_up)))
+            true_xb = basic_solution(b)
+            worst = float(np.max(bound_violation(true_xb)))
             if worst > 1e-7:
                 if perturb.size and perturb[0] > 0:
                     # nudged optimum misses the real right side: keep the
@@ -318,19 +318,7 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
             degenerate_streak = 0
             bland = False
         else:
-            xb -= sigma * t * w
-            leaving = basis[leave]
-            is_basic[leaving] = False
-            at_upper[leaving] = sigma * w[leave] < 0
-            basis[leave] = j
-            is_basic[j] = True
-            xb[leave] = (upper[j] if at_upper[j] else lower[j]) + sigma * t
-            at_upper[j] = False
-            pivot = w[leave]
-            binv[leave] /= pivot
-            for i in range(m):
-                if i != leave and abs(w[i]) > 1e-14:
-                    binv[i] -= w[i] * binv[leave]
+            pivot(leave, j, w, sigma * t, sigma * w[leave] < 0)
             since_refactor += 1
             if t <= 1e-11:
                 degenerate_streak += 1
@@ -342,9 +330,7 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
             if since_refactor >= 50:
                 refactor()
                 since_refactor = 0
-                low = np.array([lower[v] for v in basis])
-                up = np.array([upper[v] for v in basis])
-                worst = float(np.max(np.maximum(low - xb, xb - up)))
+                worst = float(np.max(bound_violation(xb)))
                 if worst > 1e-6:
                     # the running basis went numerically infeasible; restart
                     # from the all-slack basis rather than walk on garbage

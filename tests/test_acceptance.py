@@ -281,6 +281,7 @@ def test_demo_witness_search_agrees(example8_trace):
 # desk scale benchmark bounds, two minute budget per run
 
 
+@pytest.mark.slow
 def test_mann_a9_all_procedures_reach_exact_bound():
     g = BENCHMARKS["MANN_a9"]().complement()
     for proc in ("clique", "basic", "strengthened"):
@@ -289,6 +290,7 @@ def test_mann_a9_all_procedures_reach_exact_bound():
         assert abs(rep.bound - 18.0) <= 1e-6, (proc, rep.bound)
 
 
+@pytest.mark.slow
 def test_hamming6_4_strengthened_bound_small_enough():
     g = BENCHMARKS["hamming6-4"]().complement()
     rep = cutting_plane_run(g, procedure="strengthened", time_limit=120.0,
@@ -296,6 +298,7 @@ def test_hamming6_4_strengthened_bound_small_enough():
     assert rep.bound <= 4.5 + 1e-9, rep.bound
 
 
+@pytest.mark.slow
 def test_cfat200_1_lifted_procedures_close_the_gap():
     g = BENCHMARKS["c-fat200-1"]().complement()
     for proc in ("basic", "strengthened"):

@@ -107,9 +107,15 @@ def test_separate_c5_half_point(capsys, tmp_path):
 
 
 def test_separate_rejects_clique_procedure(capsys, tmp_path):
-    with pytest.raises(SystemExit):
-        main(["separate", c5_file(tmp_path), "--point", "0.5,0.5,0.5,0.5,0.5",
-              "--proc", "c"])
+    # the whole list is checked before any separation runs, so a clique
+    # entry after a lifting one wastes no run and prints no summary
+    for proc in ("c", "b,c"):
+        with pytest.raises(SystemExit):
+            main(["separate", c5_file(tmp_path), "--point",
+                  "0.5,0.5,0.5,0.5,0.5", "--proc", proc])
+        captured = capsys.readouterr()
+        assert "cuts from" not in captured.err
+        assert captured.out == ""
 
 
 def test_separate_point_length_check(capsys, tmp_path):
@@ -214,6 +220,16 @@ def test_bench_small_suite_deterministic(capsys):
     by_proc = {row["procedure"]: row for row in rows}
     assert float(by_proc["strengthened"]["bound"]) <= \
         float(by_proc["clique"]["bound"]) + 1e-9
+
+
+def test_bench_rejects_reps_below_one(capsys):
+    for reps in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "8", "--densities", "0.5",
+                  "--reps", reps])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--reps" in err and "must be at least 1" in err
 
 
 def test_bench_json_round_trips(capsys):

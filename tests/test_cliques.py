@@ -4,48 +4,29 @@ import random
 
 from stabcut.cliques import (
     enumerate_cliques_bounded,
-    greedy_cliques_by_coverage,
-    greedy_cliques_by_weight,
     grow_clique,
     point_weight,
     rounding_lower_bound,
 )
 from stabcut.graph import Graph, bits, mask_of, random_graph
+from stabcut.separation import build_clique_pool
 
 
-def test_greedy_passes_differ_on_candidate_order():
-    # 0-1, 1-3, 2-3 with these values separates the two growth orders
+def test_prefer_uncovered_changes_candidate_order():
+    # 0-1, 1-3, 2-3 with these values separates the two growth orders: from
+    # vertex 3 with 0 and 1 covered, the value order takes 1 and the
+    # coverage order takes the uncovered 2
     g = Graph(4, [(0, 1), (1, 3), (2, 3)])
     point = [0.8, 0.9, 0.2, 0.45]
-    by_weight, cov_w = greedy_cliques_by_weight(g, point)
-    by_cover, cov_c = greedy_cliques_by_coverage(g, point)
-    assert by_weight == [(0, 1), (1, 3), (2, 3)]
-    assert by_cover == [(0, 1), (2, 3)]
-    assert cov_w == cov_c == g.full_mask
-
-
-def test_greedy_passes_cover_everything_with_cliques():
-    rng = random.Random(5)
-    for trial in range(20):
-        n = rng.randint(4, 16)
-        g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), seed=300 + trial)
-        point = [rng.random() for _ in range(n)]
-        for fn in (greedy_cliques_by_weight, greedy_cliques_by_coverage):
-            cliques, covered = fn(g, point)
-            assert covered == g.full_mask
-            seen = 0
-            for w in cliques:
-                assert g.is_clique(w)
-                seen |= mask_of(w)
-            assert seen == g.full_mask
-
-
-def test_greedy_respects_initial_covered_mask():
-    g = Graph(4, [(0, 1), (1, 3), (2, 3)])
-    point = [0.8, 0.9, 0.2, 0.45]
-    cliques, covered = greedy_cliques_by_weight(g, point, covered=mask_of([0, 1]))
-    assert cliques[0] == (1, 3)
-    assert covered == g.full_mask
+    covered = mask_of([0, 1])
+    assert grow_clique(g, point, 3, covered, prefer_uncovered=False) == (1, 3)
+    assert grow_clique(g, point, 3, covered, prefer_uncovered=True) == (2, 3)
+    assert grow_clique(g, point, 1, 0, prefer_uncovered=True) == (0, 1)
+    # the pool alternates the two orders: value first, then coverage, so the
+    # second clique is (2, 3) and the scan ends after two cliques
+    pool, violated = build_clique_pool(g, point)
+    assert pool == [(0, 1), (2, 3)]
+    assert violated == [(0, 1)]
 
 
 def test_grow_clique_is_maximal():

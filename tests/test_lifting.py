@@ -12,7 +12,6 @@ from stabcut.lifting import (
     basic_lift,
     check_validity,
     clique_inequality,
-    lift_once,
     strength_report,
     strengthened_lift,
 )
@@ -66,19 +65,6 @@ def test_clique_inequality():
     assert clique_inequality((2, 5)) == Inequality({2: 1, 5: 1}, 1)
     with pytest.raises(ValueError):
         clique_inequality(())
-
-
-def test_lift_once_arithmetic():
-    f = Inequality({2: 1, 3: 1}, 1)
-    assert lift_once(f, (0, 1), 0) == f
-    lifted = lift_once(f, (0, 1), -1)
-    assert lifted == Inequality({0: 1, 1: 1, 2: 1, 3: 1}, 2)
-    # inverse of add_step
-    assert lift_once(f.add_step((0, 1), 5), (0, 1), 5) == f
-    # and the lifted form is valid on the graph it came from
-    g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert check_validity(g, lifted).valid
-    assert check_validity(g, lifted).lhs_max == 2
 
 
 def test_basic_lift_worked_example(example8_trace):
