@@ -23,13 +23,17 @@ def clique_project(g: Graph, w):
         raise ValueError("cannot project onto an empty clique")
     if not g.is_clique(wmask):
         raise ValueError("%r is not a clique" % (tuple(w),))
-    outside = [v for v in range(g.n) if not wmask >> v & 1]
-    miss = {v: wmask & ~g.adj[v] for v in outside}
+    # v can partner u only if v misses no member that u misses: drop from
+    # u's outside non-neighbours above u every vertex that misses one of
+    # u's missed members, one bitmask per member
+    outside = g.full_mask & ~wmask
+    misses = {b: outside & ~g.adj[b] for b in bits(wmask)}
     false_edges = []
-    for i, u in enumerate(outside):
-        for v in outside[i + 1:]:
-            if not g.has_edge(u, v) and miss[u] & miss[v] == 0:
-                false_edges.append((u, v))
+    for u in bits(outside):
+        partners = outside & ~g.adj[u] & ~((2 << u) - 1)
+        for b in bits(wmask & ~g.adj[u]):
+            partners &= ~misses[b]
+        false_edges.extend((u, v) for v in bits(partners))
     false_edges = tuple(false_edges)
     return g.with_edges(false_edges), false_edges
 

@@ -17,6 +17,46 @@ DEFAULT_TOL = 1e-9
 PIVOT_TOL = 1e-7
 
 
+# rows of the basis inverse updated per block in a pivot
+_BLOCK_ROWS = 128
+
+
+def _ratio_test(w, sigma, xb, basis, low, up, span, bland):
+    """Bounded primal ratio test for an entering column.
+
+    Basic value i drops by sigma * w[i] per unit step of the entering
+    column, whose own range is span; basis lists the basic variables and
+    low, up their bounds. Returns (step, leave): leave is the row that
+    blocks first, or None when the entering column reaches its other bound
+    first (step is then span).
+
+    Rows whose pivot is within PIVOT_TOL of zero never block: a division
+    by 1e-9 would wreck the basis inverse. Among the rows that block inside
+    a small window above the tightest step, the leaving row is the first
+    one of largest |w|, or in Bland mode the one with the lowest basic
+    variable, which cannot cycle.
+    """
+    sw = sigma * w
+    ratios = np.full(len(w), np.inf)
+    falls = sw > PIVOT_TOL
+    rises = (sw < -PIVOT_TOL) & ~np.isinf(up)
+    ratios[falls] = (xb[falls] - low[falls]) / sw[falls]
+    ratios[rises] = (xb[rises] - up[rises]) / sw[rises]
+    # negative steps become 0.0 but a -0.0 step stays -0.0, as with a
+    # scalar max(t, 0.0); np.maximum(t, 0.0) would turn it into +0.0
+    ratios = np.where(0.0 > ratios, 0.0, ratios)
+    tmin = float(ratios.min())
+    if not tmin <= span:
+        return span, None
+    window = tmin + 1e-9 * (1.0 + abs(tmin))
+    near = np.flatnonzero(~(ratios > window))
+    if bland:
+        leave = near[int(np.argmin(np.asarray(basis)[near]))]
+    else:
+        leave = near[int(np.argmax(np.abs(w[near])))]
+    return tmin, int(leave)
+
+
 class LpStalled(RuntimeError):
     """The solve hit its iteration cap before reaching optimality."""
 
@@ -51,6 +91,8 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
     if len(objective) != n:
         raise ValueError("objective length %d does not match n=%d"
                          % (len(objective), n))
+    if not all(math.isfinite(c) for c in objective):
+        raise ValueError("objective has a non-finite entry")
     rows = list(rows)
     m = len(rows)
     if m == 0:
@@ -62,11 +104,16 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
     acols = np.zeros((m, total))
     b = np.zeros(m)
     for i, (coeffs, rhs) in enumerate(rows):
+        if not math.isfinite(rhs):
+            raise ValueError("row %d has non-finite right side %r" % (i, rhs))
         if rhs < 0:
             raise ValueError("row %d has negative right side %r" % (i, rhs))
         for v, coef in coeffs.items():
             if not (0 <= v < n):
                 raise ValueError("row %d touches unknown variable %d" % (i, v))
+            if not math.isfinite(coef):
+                raise ValueError("row %d has non-finite coefficient %r on "
+                                 "variable %d" % (i, coef, v))
             acols[i, v] = coef
         # equilibrate: lifted cuts can carry coefficients orders of magnitude
         # above the clique rows, which wrecks basis conditioning. Dividing a
@@ -116,7 +163,7 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
     def pivot(r, j, w, step, leaving_at_upper):
         # column j enters the basis at row r after every basic value moved
         # by step along w; the leaving variable rests at the bound named by
-        # leaving_at_upper. Updates the basis inverse row by row.
+        # leaving_at_upper.
         nonlocal xb
         xb -= step * w
         leaving = basis[r]
@@ -127,9 +174,15 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
         xb[r] = (upper[j] if at_upper[j] else lower[j]) + step
         at_upper[j] = False
         binv[r] /= w[r]
-        for i in range(m):
-            if i != r and abs(w[i]) > 1e-14:
-                binv[i] -= w[i] * binv[r]
+        # rank-1 update of every other row, a block of rows at a time so
+        # no m x m product is allocated. Rows with |w| <= 1e-14 get a zero
+        # multiplier and keep their values; at most a -0.0 entry comes
+        # back as +0.0, which no later product can tell apart.
+        f = np.where(np.abs(w) > 1e-14, w, 0.0)
+        f[r] = 0.0
+        for s in range(0, m, _BLOCK_ROWS):
+            binv[s:s + _BLOCK_ROWS] -= np.multiply.outer(f[s:s + _BLOCK_ROWS],
+                                                         binv[r])
 
     def refactor():
         nonlocal binv, xb
@@ -274,40 +327,8 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
         sigma = -1.0 if at_upper[j] else 1.0
         w = binv @ acols[:, j]
 
-        # ratio test in two passes: find the tightest step over rows whose
-        # pivot is comfortably nonzero, then pick the leaving row among near
-        # ties by largest pivot magnitude (lowest variable index in Bland
-        # mode, which cannot cycle). Tiny pivots are skipped entirely; a
-        # division by 1e-9 would wreck the basis inverse.
-        t_best = upper[j] - lower[j]
-        ratios = np.full(m, np.inf)
-        for i in range(m):
-            wi = sigma * w[i]
-            var = basis[i]
-            if wi > PIVOT_TOL:
-                ti = (xb[i] - lower[var]) / wi
-            elif wi < -PIVOT_TOL:
-                if math.isinf(upper[var]):
-                    continue
-                ti = (xb[i] - upper[var]) / wi
-            else:
-                continue
-            ratios[i] = max(ti, 0.0)
-        tmin = float(ratios.min()) if m else math.inf
-        leave = None
-        if tmin <= t_best:
-            t_best = tmin
-            window = t_best + 1e-9 * (1.0 + abs(t_best))
-            for i in range(m):
-                if ratios[i] > window:
-                    continue
-                if leave is None:
-                    leave = i
-                elif bland:
-                    if basis[i] < basis[leave]:
-                        leave = i
-                elif abs(w[i]) > abs(w[leave]):
-                    leave = i
+        t_best, leave = _ratio_test(w, sigma, xb, basis, lower[basis],
+                                    upper[basis], upper[j] - lower[j], bland)
         if leave is None and math.isinf(t_best):
             # cannot happen for a bounded objective; bail out defensively
             break
@@ -342,9 +363,7 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
                     bland = resets > 1
 
     vals = np.where(at_upper, upper, lower)
-    vals[is_basic] = 0.0
-    for i, var in enumerate(basis):
-        vals[var] = xb[i]
+    vals[basis] = xb
     x = np.clip(vals[:n], 0.0, 1.0)
     value = float(np.dot(c[:n], x))
     return LpResult(value, [float(v) for v in x], status, iterations,

@@ -22,6 +22,7 @@ from conftest import (
     EXAMPLE8_W1,
     EXAMPLE8_W2,
     EXAMPLE8_W3,
+    random_maximal_clique,
 )
 
 
@@ -48,18 +49,35 @@ def test_example_walk_false_edges(example8):
     assert g3.num_edges() == example8.num_edges() + 4 + 2
 
 
+def project_pair_scan(g, w):
+    """The pair scan clique_project ran before it used bitsets: every pair
+    u < v outside w, in increasing order, that is a non-edge and whose
+    members missed inside w are disjoint."""
+    wmask = mask_of(w)
+    outside = [v for v in range(g.n) if not wmask >> v & 1]
+    miss = {v: wmask & ~g.adj[v] for v in outside}
+    return tuple((u, v) for i, u in enumerate(outside) for v in outside[i + 1:]
+                 if not g.has_edge(u, v) and miss[u] & miss[v] == 0)
+
+
 def test_projection_matches_oracle_on_random_graphs():
     rng = random.Random(77)
-    checked = 0
+    checked = larger = 0
     for trial in range(30):
         n = rng.randint(4, 12)
         g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), seed=4000 + trial)
-        for u, v in g.edges():
-            _, fe = clique_project(g, (u, v))
-            assert set(fe) == project_oracle(g, (u, v))
+        cliques = list(g.edges())[:1]
+        if cliques:
+            cliques.append(random_maximal_clique(g, rng))
+        for w in cliques:
+            proj, fe = clique_project(g, w)
+            assert fe == project_pair_scan(g, w)
+            assert set(fe) == project_oracle(g, w)
+            assert proj == g.with_edges(fe)
             checked += 1
-            break
-    assert checked == 30
+            larger += len(w) >= 3
+    assert checked == 60
+    assert larger >= 10
 
 
 def test_projection_validation(example8):
