@@ -479,11 +479,11 @@ def _add_param_flags(sub):
                      help="projections to perform before stopping the walk")
     sub.add_argument("--max-depth", type=int, default=None,
                      help="hard cap on projections per walk")
-    sub.add_argument("--max-iter", type=int, default=None,
+    sub.add_argument("--max-iter", type=_positive_int, default=None,
                      help="separation iterations per call")
-    sub.add_argument("--max-ncuts", type=int, default=None,
+    sub.add_argument("--max-ncuts", type=_positive_int, default=None,
                      help="stop once this many cuts are collected")
-    sub.add_argument("--tomita-period", type=int, default=None,
+    sub.add_argument("--tomita-period", type=_positive_int, default=None,
                      help="use bounded exact clique enumeration every k-th "
                           "projection")
 

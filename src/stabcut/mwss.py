@@ -1,8 +1,9 @@
 """Maximum weight stable sets by branch and bound over bitmask graphs.
 
-Two entry points: max_weight_stable_set for plain instances, and
-solve_constrained for instances with clique side constraints (each cover
-clique must contain exactly one chosen vertex, every avoid clique none).
+Two entry points over one search: max_weight_stable_set for plain
+instances, and solve_constrained for instances with clique side constraints
+(each cover clique must contain exactly one chosen vertex, every avoid
+clique none).
 """
 
 from __future__ import annotations
@@ -82,6 +83,58 @@ def _partition_bound(adj, order, weights, rem: int):
     return b
 
 
+def _search(adj, weights, free0, positive, covers, budget, best_mask=None,
+            best_val=0):
+    """Branch and bound shared by both entry points: the heaviest stable set
+    inside free0 that holds exactly one vertex of every cover mask, starting
+    from an incumbent (best_mask None when there is none). While a cover is
+    unsatisfied the search branches over its free members, heaviest first;
+    after that only vertices of the mask positive are worth adding, one at a
+    time, in and then out. Returns the best mask (None when no set meets the
+    covers) and its value."""
+    ban = [0] * len(adj)  # choosing v additionally bans co-members of its covers
+    for c in covers:
+        for v in bits(c):
+            ban[v] |= c
+    order = sorted(bits(free0), key=lambda v: (-weights[v], v))
+
+    def pruned(free, val):
+        if best_mask is None:
+            return False
+        b = _partition_bound(adj, order, weights, free & positive)
+        return val + b <= best_val + EPS
+
+    def rec(chosen, free, val, unsat):
+        nonlocal best_mask, best_val
+        if budget.tick():
+            return
+        if not unsat:
+            if best_mask is None or val > best_val + EPS:
+                best_mask, best_val = chosen, val
+            free &= positive
+            if not free or pruned(free, val):
+                return
+            for v in order:
+                bit = 1 << v
+                if free & bit:
+                    rec(chosen | bit, free & ~(adj[v] | bit), val + weights[v], unsat)
+                    rec(chosen, free & ~bit, val, unsat)
+                    return
+            return
+        cands = unsat[0] & free
+        if not cands or pruned(free, val):
+            return
+        for v in sorted(bits(cands), key=lambda u: (-weights[u], u)):
+            bit = 1 << v
+            rec(chosen | bit,
+                free & ~(adj[v] | bit | ban[v]),
+                val + weights[v],
+                tuple(c for c in unsat if not c & bit))
+
+    rec(0, free0, 0, covers)
+    return best_mask, best_val
+
+
 def max_weight_stable_set(g: Graph, weights, within=None, time_budget=None,
                           max_nodes=None) -> MwssResult:
     """Heaviest stable set of g. Vertices with weight <= 0 are dropped up
@@ -90,37 +143,20 @@ def max_weight_stable_set(g: Graph, weights, within=None, time_budget=None,
     adj = g.adj
     free0 = g.full_mask if within is None else within & g.full_mask
     free0 = mask_of(v for v in bits(free0) if weights[v] > 0)
-    order = sorted(bits(free0), key=lambda v: (-weights[v], v))
     budget = _Budget(time_budget, max_nodes)
 
     # greedy incumbent, heaviest first
-    best_mask, best_val = 0, 0
+    greedy_mask, greedy_val = 0, 0
     cand = free0
-    for v in order:
+    for v in sorted(bits(free0), key=lambda v: (-weights[v], v)):
         bit = 1 << v
         if cand & bit:
-            best_mask |= bit
-            best_val += weights[v]
+            greedy_mask |= bit
+            greedy_val += weights[v]
             cand &= ~(adj[v] | bit)
 
-    def rec(chosen, free, val):
-        nonlocal best_mask, best_val
-        if budget.tick():
-            return
-        if val > best_val + EPS:
-            best_mask, best_val = chosen, val
-        if not free:
-            return
-        if val + _partition_bound(adj, order, weights, free) <= best_val + EPS:
-            return
-        for v in order:
-            bit = 1 << v
-            if free & bit:
-                rec(chosen | bit, free & ~(adj[v] | bit), val + weights[v])
-                rec(chosen, free & ~bit, val)
-                return
-
-    rec(0, free0, 0)
+    best_mask, best_val = _search(adj, weights, free0, free0, (), budget,
+                                  greedy_mask, greedy_val)
     return MwssResult(tuple(bits(best_mask)), best_val,
                       proven_optimal=not budget.exhausted)
 
@@ -172,7 +208,6 @@ class ConstrainedMwssQuery:
 
 def solve_constrained(query: ConstrainedMwssQuery) -> MwssResult:
     g = query.graph
-    adj = g.adj
     weights = query.weights
     covers = query.cover_masks
     budget = _Budget(query.time_budget, query.max_nodes)
@@ -185,49 +220,8 @@ def solve_constrained(query: ConstrainedMwssQuery) -> MwssResult:
     # exactly-one constraints depends on it
     free0 = (positive | cover_union) & ~query.avoid_mask
 
-    ban = [0] * g.n  # choosing v additionally bans co-members of its covers
-    for c in covers:
-        for v in bits(c):
-            ban[v] |= c
-    order = sorted(bits(free0), key=lambda v: (-weights[v], v))
-
-    best_mask = None
-    best_val = 0
-
-    def bound_prune(free, val):
-        if best_mask is None:
-            return False
-        b = _partition_bound(adj, order, weights, free & positive)
-        return val + b <= best_val + EPS
-
-    def rec(chosen, free, val, unsat):
-        nonlocal best_mask, best_val
-        if budget.tick():
-            return
-        if not unsat:
-            if best_mask is None or val > best_val + EPS:
-                best_mask, best_val = chosen, val
-            free &= positive
-            if not free or bound_prune(free, val):
-                return
-            for v in order:
-                bit = 1 << v
-                if free & bit:
-                    rec(chosen | bit, free & ~(adj[v] | bit), val + weights[v], unsat)
-                    rec(chosen, free & ~bit, val, unsat)
-                    return
-            return
-        cands = unsat[0] & free
-        if not cands or bound_prune(free, val):
-            return
-        for v in sorted(bits(cands), key=lambda u: (-weights[u], u)):
-            bit = 1 << v
-            rec(chosen | bit,
-                free & ~(adj[v] | bit | ban[v]),
-                val + weights[v],
-                tuple(c for c in unsat if not c & bit))
-
-    rec(0, free0, 0, covers)
+    best_mask, best_val = _search(g.adj, weights, free0, positive, covers,
+                                  budget)
     proven = not budget.exhausted
     if best_mask is None:
         return MwssResult(None, None, proven, infeasible=proven)

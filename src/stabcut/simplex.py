@@ -21,20 +21,19 @@ PIVOT_TOL = 1e-7
 _BLOCK_ROWS = 128
 
 
-def _ratio_test(w, sigma, xb, basis, low, up, span, bland):
+def _ratio_test(w, sigma, xb, low, up, span):
     """Bounded primal ratio test for an entering column.
 
     Basic value i drops by sigma * w[i] per unit step of the entering
-    column, whose own range is span; basis lists the basic variables and
-    low, up their bounds. Returns (step, leave): leave is the row that
-    blocks first, or None when the entering column reaches its other bound
-    first (step is then span).
+    column, whose own range is span; low and up are the bounds of the basic
+    variables. Returns (step, leave): leave is the row that blocks first, or
+    None when the entering column reaches its other bound first (step is
+    then span).
 
     Rows whose pivot is within PIVOT_TOL of zero never block: a division
     by 1e-9 would wreck the basis inverse. Among the rows that block inside
     a small window above the tightest step, the leaving row is the first
-    one of largest |w|, or in Bland mode the one with the lowest basic
-    variable, which cannot cycle.
+    one of largest |w|.
     """
     sw = sigma * w
     ratios = np.full(len(w), np.inf)
@@ -50,11 +49,7 @@ def _ratio_test(w, sigma, xb, basis, low, up, span, bland):
         return span, None
     window = tmin + 1e-9 * (1.0 + abs(tmin))
     near = np.flatnonzero(~(ratios > window))
-    if bland:
-        leave = near[int(np.argmin(np.asarray(basis)[near]))]
-    else:
-        leave = near[int(np.argmax(np.abs(w[near])))]
-    return tmin, int(leave)
+    return tmin, int(near[int(np.argmax(np.abs(w[near])))])
 
 
 class LpStalled(RuntimeError):
@@ -72,14 +67,15 @@ class LpResult:
     start: tuple = None
 
 
-def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
-             max_iterations=None, warm=None) -> LpResult:
+def lp_solve(n: int, rows, objective=None, max_iterations=None,
+             warm=None) -> LpResult:
     """Solve max c.x, A x <= b, 0 <= x <= 1.
 
     rows is an iterable of (coeffs, rhs) with coeffs a {var: coef} dict and
     rhs >= 0. Entering variables follow the largest reduced cost, with ties to
-    the lowest index; after a long degenerate streak selection drops to
-    lowest-index only, which cannot cycle. Status is "optimal" or "stalled".
+    the lowest index. Status is "optimal", or "stalled" when the iteration cap
+    is hit or an optimum still misses the exact right side after the dual
+    repair and one restart from the slack basis.
 
     warm takes the start token of a previous result whose rows are a prefix
     of this call's rows (same n, same objective). The old basis stays dual
@@ -135,18 +131,13 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
     # winner unique, so pivots strictly improve and the massive degeneracy of
     # overlapping clique rows cannot trap or corrupt the walk. Costs are
     # untouched, so the optimal basis of the nudged model is dual feasible
-    # for the real one; the cleanup below recomputes the exact point and
-    # falls back to a plain solve in the rare case it is not primal feasible.
+    # for the real one; the cleanup below drops the nudge and repairs the
+    # exact point, with one plain restart in the rare case that fails.
     nudge = 1e-7 * np.arange(1, m + 1)
-    dropped = False
 
     if max_iterations is None:
         max_iterations = 2000 + 200 * total
-    bland_after = 5 * total
-    degenerate_streak = 0
-    bland = False
     since_refactor = 0
-    resets = 0
     iterations = 0
     status = "stalled"
 
@@ -189,13 +180,10 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
         binv = np.linalg.inv(acols[:, basis])
         xb = basic_solution(b_solve)
 
-    def reset_to_slacks():
-        nonlocal basis, is_basic, at_upper, binv, xb, perturb, b_solve
-        if not dropped:
-            # a fresh walk wants the anti-degeneracy nudge back (a warm
-            # start begins without it; see below)
-            perturb = nudge
-            b_solve = b + nudge
+    def reset_to_slacks(with_nudge):
+        nonlocal basis, is_basic, at_upper, binv, xb, nudged, b_solve
+        nudged = with_nudge
+        b_solve = b + nudge if nudged else b
         basis = list(range(n, total))
         is_basic = np.zeros(total, dtype=bool)
         is_basic[n:] = True
@@ -204,7 +192,7 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
         xb = b_solve.copy()
 
     # the walk starts from the all-slack basis with the nudge in place
-    reset_to_slacks()
+    reset_to_slacks(True)
 
     def dual_repair():
         # Restore primal feasibility of a dual feasible basis after the
@@ -267,8 +255,8 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
                 # the token basis was optimal for the exact right side of
                 # the prefix rows, so solve without the nudge: old rows are
                 # already in bounds and only the appended slacks need dual
-                # steps. Any later restart from slacks brings the nudge back.
-                perturb = np.zeros(m)
+                # steps. A failed repair restarts from slacks with the nudge.
+                nudged = False
                 b_solve = b
                 basis = cand
                 binv = inv
@@ -279,15 +267,15 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
                 at_upper[is_basic] = False
                 xb = basic_solution(b_solve)
                 if not dual_repair():
-                    reset_to_slacks()
+                    reset_to_slacks(True)
                 since_refactor = 1
 
     while iterations < max_iterations:
         iterations += 1
         y = c[basis] @ binv
         d = c - y @ acols
-        enter_lower = ~is_basic & ~at_upper & (d > tol)
-        enter_upper = ~is_basic & at_upper & (d < -tol)
+        enter_lower = ~is_basic & ~at_upper & (d > DEFAULT_TOL)
+        enter_upper = ~is_basic & at_upper & (d < -DEFAULT_TOL)
         candidates = np.where(enter_lower | enter_upper)[0]
         if candidates.size == 0:
             if since_refactor > 0:
@@ -296,39 +284,30 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
                 since_refactor = 0
                 continue
             true_xb = basic_solution(b)
-            worst = float(np.max(bound_violation(true_xb)))
-            if worst > 1e-7:
-                if perturb.size and perturb[0] > 0:
-                    # nudged optimum misses the real right side: keep the
-                    # basis, which stays dual feasible, swap in the exact
-                    # rhs and let dual steps walk the bounds back in
-                    dropped = True
-                    perturb = np.zeros(m)
-                    b_solve = b
-                    refactor()
-                    if not dual_repair():
-                        reset_to_slacks()
-                    since_refactor = 1
-                    continue
-                resets += 1
-                if resets > 2:
+            if float(np.max(bound_violation(true_xb))) > 1e-7:
+                if not nudged:
+                    # no nudge left to drop: the solve ends stalled
                     break
-                reset_to_slacks()
-                bland = True
+                # nudged optimum misses the real right side: keep the basis,
+                # which stays dual feasible, swap in the exact rhs and let
+                # dual steps walk the bounds back in, or else walk again
+                # from slacks without the nudge
+                nudged = False
+                b_solve = b
+                refactor()
+                if not dual_repair():
+                    reset_to_slacks(False)
+                since_refactor = 1
                 continue
             xb = true_xb
             status = "optimal"
             break
-        if bland:
-            j = int(candidates[0])
-        else:
-            scores = np.abs(d[candidates])
-            j = int(candidates[int(np.argmax(scores))])
+        j = int(candidates[int(np.argmax(np.abs(d[candidates])))])
         sigma = -1.0 if at_upper[j] else 1.0
         w = binv @ acols[:, j]
 
-        t_best, leave = _ratio_test(w, sigma, xb, basis, lower[basis],
-                                    upper[basis], upper[j] - lower[j], bland)
+        t_best, leave = _ratio_test(w, sigma, xb, lower[basis], upper[basis],
+                                    upper[j] - lower[j])
         if leave is None and math.isinf(t_best):
             # cannot happen for a bounded objective; bail out defensively
             break
@@ -336,31 +315,12 @@ def lp_solve(n: int, rows, objective=None, tol: float = DEFAULT_TOL,
         if leave is None:
             at_upper[j] = not at_upper[j]
             xb -= sigma * t * w
-            degenerate_streak = 0
-            bland = False
         else:
             pivot(leave, j, w, sigma * t, sigma * w[leave] < 0)
             since_refactor += 1
-            if t <= 1e-11:
-                degenerate_streak += 1
-                if degenerate_streak >= bland_after:
-                    bland = True
-            else:
-                degenerate_streak = 0
-                bland = False
             if since_refactor >= 50:
                 refactor()
                 since_refactor = 0
-                worst = float(np.max(bound_violation(xb)))
-                if worst > 1e-6:
-                    # the running basis went numerically infeasible; restart
-                    # from the all-slack basis rather than walk on garbage
-                    resets += 1
-                    if resets > 2:
-                        break
-                    reset_to_slacks()
-                    degenerate_streak = 0
-                    bland = resets > 1
 
     vals = np.where(at_upper, upper, lower)
     vals[basis] = xb

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 
 import numpy as np
@@ -278,7 +279,8 @@ def test_demo_witness_search_agrees(example8_trace):
 
 
 # ---------------------------------------------------------------------------
-# desk scale benchmark bounds, two minute budget per run
+# desk scale benchmark bounds; the hamming and c-fat runs stop on rounds or
+# on their own end, never on the wall clock
 
 
 @pytest.mark.slow
@@ -292,17 +294,21 @@ def test_mann_a9_all_procedures_reach_exact_bound():
 
 @pytest.mark.slow
 def test_hamming6_4_strengthened_bound_small_enough():
+    # the benchmark's round cap; the bound after 16 rounds depends on the
+    # OpenBLAS thread count (4.4737 with two threads, 4.4468 with one)
     g = BENCHMARKS["hamming6-4"]().complement()
-    rep = cutting_plane_run(g, procedure="strengthened", time_limit=120.0,
-                            seed=0)
+    rep = cutting_plane_run(g, procedure="strengthened", max_rounds=16,
+                            time_limit=math.inf, seed=0)
     assert rep.bound <= 4.5 + 1e-9, rep.bound
 
 
 @pytest.mark.slow
 def test_cfat200_1_lifted_procedures_close_the_gap():
+    # both procedures reach an integral optimum in about 31 rounds
     g = BENCHMARKS["c-fat200-1"]().complement()
     for proc in ("basic", "strengthened"):
-        rep = cutting_plane_run(g, procedure=proc, time_limit=120.0, seed=0)
+        rep = cutting_plane_run(g, procedure=proc, time_limit=math.inf, seed=0)
+        assert rep.status == "integral", (proc, rep.status, rep.rounds)
         assert abs(rep.bound - 12.0) <= 1e-6, (proc, rep.bound)
 
 

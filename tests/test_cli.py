@@ -118,6 +118,23 @@ def test_separate_rejects_clique_procedure(capsys, tmp_path):
         assert captured.out == ""
 
 
+def test_separation_caps_must_be_positive(capsys, tmp_path):
+    # a zero Tomita period divided by zero inside the walk, and a zero or
+    # negative iteration cap quietly ran no separation at all
+    for flag in ("--tomita-period", "--max-iter", "--max-ncuts"):
+        for value in ("0", "-1"):
+            for command in (["separate", c5_file(tmp_path), "--point",
+                             "0.5,0.5,0.5,0.5,0.5"],
+                            ["bound", c5_file(tmp_path), "--proc", "b"]):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + [flag, value])
+                assert exc.value.code == 2
+                captured = capsys.readouterr()
+                assert flag in captured.err
+                assert "must be at least 1" in captured.err
+                assert captured.out == ""
+
+
 def test_separate_point_length_check(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["separate", c5_file(tmp_path), "--point", "0.5,0.5"])

@@ -194,3 +194,38 @@ def test_constrained_exactly_one_not_at_least_one():
     # the pair plus one vertex from the other edge
     assert r.best_value == 2
     assert len(set(r.best_set) & {0, 2}) == 1
+
+
+def test_matches_networkx_max_weight_clique():
+    # Beyond the sizes the enumeration oracle reaches: the heaviest stable
+    # set of g is the heaviest clique of its complement. networkx needs
+    # integer weights; nonpositive ones count as 0 there, which leaves the
+    # optimum unchanged. Every other solve goes through solve_constrained
+    # with one vertex avoided and no cover, which starts the shared search
+    # without an incumbent.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(40)
+    for trial in range(200):
+        n = rng.randint(13, 40)
+        g = random_graph(n, rng.choice([0.1, 0.2, 0.3, 0.5, 0.7]),
+                         seed=3000 + trial)
+        weights = [rng.randint(-2, 20) for _ in range(n)]
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from((u, v) for u in range(n) for v in range(u + 1, n)
+                         if not g.has_edge(u, v))
+        for v in range(n):
+            h.nodes[v]["w"] = max(weights[v], 0)
+        if trial % 2:
+            banned = rng.randrange(n)
+            h.remove_node(banned)
+            r = solve_constrained(ConstrainedMwssQuery(
+                g, weights, avoid_cliques=[(banned,)]))
+            assert banned not in r.best_set
+        else:
+            r = max_weight_stable_set(g, weights)
+        _, expect = nx.max_weight_clique(h, weight="w")
+        assert r.proven_optimal and not r.infeasible
+        assert r.best_value == expect, trial
+        assert g.is_stable(r.best_set)
+        assert sum(weights[v] for v in r.best_set) == r.best_value
