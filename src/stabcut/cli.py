@@ -143,9 +143,7 @@ def _known_alpha(g: Graph, complement: bool):
     if complement and base in KNOWN_OPTIMA:
         return KNOWN_OPTIMA[base]
     if g.n <= EXACT_ALPHA_LIMIT:
-        res = maximum_stable_set(g)
-        if res.proven_optimal:
-            return int(res.best_value)
+        return int(maximum_stable_set(g).best_value)
     return None
 
 
@@ -282,7 +280,7 @@ def cmd_separate(args) -> int:
         for i, cut in enumerate(outcome.cuts):
             ineq = cut.inequality
             try:
-                report = check_validity(g, ineq, time_budget=30.0)
+                report = check_validity(g, ineq, time_budget=args.time_limit)
                 verdict = "valid" if report.valid else "INVALID"
             except LiftingAborted:
                 verdict = "unverified"

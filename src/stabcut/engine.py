@@ -18,6 +18,8 @@ from .separation import SeparationParams, build_clique_pool, sep_for_stab
 from .simplex import LpStalled, lp_solve
 
 INT_TOL = 1e-6
+# search nodes for the exact check of each lifted cut before it enters the LP
+VERIFY_MAX_NODES = 100_000
 
 
 def edge_clique_cover(g: Graph):
@@ -81,8 +83,9 @@ def cutting_plane_run(g: Graph, params: SeparationParams = None,
     pool cliques, "basic" and "strengthened" also run projection-walk
     separation with the matching lifting. Every lifted cut is re-verified
     against the graph before entering the LP unless verify_cuts is off; a
-    cut that cannot be verified inside its budget is dropped, a provably
-    invalid one is a bug and raises.
+    cut that cannot be verified within VERIFY_MAX_NODES search nodes is
+    dropped, a provably invalid one is a bug and raises. Only time_limit,
+    checked between rounds, reads the clock.
     """
     if procedure not in ("clique", "basic", "strengthened"):
         raise ValueError("unknown procedure %r" % procedure)
@@ -141,7 +144,8 @@ def cutting_plane_run(g: Graph, params: SeparationParams = None,
                 ineq = cut.inequality.normalized()
                 if verify_cuts:
                     try:
-                        report = check_validity(g, ineq, time_budget=10.0)
+                        report = check_validity(g, ineq,
+                                                max_nodes=VERIFY_MAX_NODES)
                     except LiftingAborted:
                         continue
                     if not report.valid:

@@ -14,17 +14,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, bits, mask_of
-from .mwss import (
-    ConstrainedMwssQuery,
-    _Budget,
-    enumerate_stable_sets,
-    max_weight_stable_set,
-    solve_constrained,
-)
+from .graph import Graph, mask_of
+from .mwss import ConstrainedMwssQuery, max_weight_stable_set, solve_constrained
 from .projection import ProjectionTrace, trace_from_json, trace_to_json
 
 EPS = 1e-9
+# search nodes shared by all factor solves of one lift
+LIFT_MAX_NODES = 200_000
 
 
 class LiftingAborted(RuntimeError):
@@ -146,24 +142,24 @@ def _resolve_seed(trace, seed, lift_from):
     return trace, tuple(sorted(seed))
 
 
-def _lift(trace, seed, lift_from, time_budget, procedure, solve_step):
+def _lift(trace, seed, lift_from, procedure, solve_step):
     """The lifting frame shared by both procedures: walk the trace backwards
-    from the seed clique inequality, asking solve_step(trace, t, f, seconds)
-    for the stable set solve that fixes the factor of step t. An infeasible
-    solve contributes factor 0, any other the gap to the right side."""
+    from the seed clique inequality, asking solve_step(trace, t, f, max_nodes)
+    for the stable set solve that fixes the factor of step t. The solves
+    share LIFT_MAX_NODES search nodes, each getting what the earlier ones
+    left. An infeasible solve contributes factor 0, any other the gap to the
+    right side."""
     trace, seed = _resolve_seed(trace, seed, lift_from)
     if not seed or not trace.final_graph.is_clique(seed):
         raise ValueError("seed %r is not a clique of the final graph" % (seed,))
-    budget = _Budget(time_budget)
+    nodes_left = LIFT_MAX_NODES
     f = clique_inequality(seed)
     factors = []
     for t in range(trace.r, 0, -1):
-        seconds = budget.remaining()
-        if seconds is not None and seconds <= 0:
-            raise LiftingAborted("lifting time budget exhausted")
-        res = solve_step(trace, t, f, seconds)
+        res = solve_step(trace, t, f, nodes_left)
         if not res.proven_optimal:
-            raise LiftingAborted("factor solve at step %d timed out" % t)
+            raise LiftingAborted("lifting node budget exhausted at step %d" % t)
+        nodes_left -= res.nodes
         lam = 0 if res.infeasible else res.best_value - f.rhs
         factors.append(lam)
         f = f.add_step(trace.cliques[t - 1], lam)
@@ -171,40 +167,38 @@ def _lift(trace, seed, lift_from, time_budget, procedure, solve_step):
     return LiftedCut(f, trace, seed, tuple(factors), procedure)
 
 
-def _basic_step(trace, t, f, seconds):
+def _basic_step(trace, t, f, max_nodes):
     g = trace.graph_at(t - 1)
     return max_weight_stable_set(
         g, f.as_weights(g.n),
         within=g.full_mask & ~mask_of(trace.cliques[t - 1]),
-        time_budget=seconds)
+        max_nodes=max_nodes)
 
 
-def _strengthened_step(trace, t, f, seconds):
+def _strengthened_step(trace, t, f, max_nodes):
     return solve_constrained(ConstrainedMwssQuery(
         trace.base, f.as_weights(trace.base.n),
         cover_cliques=trace.cliques[:t - 1],
         avoid_cliques=(trace.cliques[t - 1],),
-        time_budget=seconds,
+        max_nodes=max_nodes,
         reference=trace.graph_at(t - 1)))
 
 
-def basic_lift(trace: ProjectionTrace, seed=None, lift_from=None,
-               time_budget=None) -> LiftedCut:
+def basic_lift(trace: ProjectionTrace, seed=None, lift_from=None) -> LiftedCut:
     """Lift with factors solved on the projected graphs: at step t, maximize
     f_t over stable sets of graph_at(t-1) that avoid W_t, and move by the gap
     to the right side. Nonpositive coefficients are dropped inside the solver;
     stable sets are closed under removal, so the optimum is unchanged."""
-    return _lift(trace, seed, lift_from, time_budget, "basic", _basic_step)
+    return _lift(trace, seed, lift_from, "basic", _basic_step)
 
 
-def strengthened_lift(trace: ProjectionTrace, seed=None, lift_from=None,
-                      time_budget=None) -> LiftedCut:
+def strengthened_lift(trace: ProjectionTrace, seed=None,
+                      lift_from=None) -> LiftedCut:
     """Lift with factors solved on the base graph under side constraints: at
     step t, maximize f_t over stable sets of the base graph that meet each of
     W_1 .. W_{t-1} exactly once and avoid W_t. An empty feasible region
     contributes factor 0."""
-    return _lift(trace, seed, lift_from, time_budget, "strengthened",
-                 _strengthened_step)
+    return _lift(trace, seed, lift_from, "strengthened", _strengthened_step)
 
 
 def cut_to_json(cut: LiftedCut) -> str:
@@ -248,24 +242,14 @@ class ValidityReport:
 
 
 def check_validity(g: Graph, ineq: Inequality, time_budget=None,
-                   enumerate_limit: int = 18) -> ValidityReport:
-    """Exact validity of ineq over the stable sets of g. Small positive
-    supports are enumerated outright, larger ones go to branch and bound;
-    either way the reported witness attains lhs_max."""
-    pos = [v for v in ineq.support if ineq.coeffs[v] > 0]
-    if len(pos) <= enumerate_limit:
-        sub, back = g.induced_subgraph(pos)
-        weights = [ineq.coeffs[back[i]] for i in range(sub.n)]
-        lhs_max, best = 0, ()
-        for s in enumerate_stable_sets(sub):
-            val = sum(weights[i] for i in bits(s))
-            if val > lhs_max:
-                lhs_max, best = val, tuple(back[i] for i in bits(s))
-        return ValidityReport(lhs_max <= ineq.rhs + EPS, lhs_max, best)
+                   max_nodes=None) -> ValidityReport:
+    """Exact validity of ineq over the stable sets of g, by branch and bound
+    over its positive support; the reported witness attains lhs_max. Raises
+    LiftingAborted when the search runs out of seconds or nodes."""
     res = max_weight_stable_set(g, ineq.as_weights(g.n),
-                                time_budget=time_budget)
+                                time_budget=time_budget, max_nodes=max_nodes)
     if not res.proven_optimal:
-        raise LiftingAborted("validity check timed out")
+        raise LiftingAborted("validity check ran out of budget")
     return ValidityReport(res.best_value <= ineq.rhs + EPS,
                           res.best_value, res.best_set)
 

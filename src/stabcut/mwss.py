@@ -21,34 +21,29 @@ class MwssResult:
     """Outcome of a stable set search.
 
     best_set / best_value are None when no feasible set was found.
-    infeasible is only claimed when the search ran to completion.
+    infeasible is only claimed when the search ran to completion. nodes is
+    the number of search nodes the solve visited.
     """
 
     best_set: tuple | None
     best_value: float | None
     proven_optimal: bool
     infeasible: bool = False
+    nodes: int = 0
 
     def mask(self) -> int:
         return 0 if self.best_set is None else mask_of(self.best_set)
 
 
 class _Budget:
-    """Node counter with optional wall-clock and node-count limits. Lifting
-    also uses one as the deadline shared by all factor solves of a lift."""
+    """Node counter with optional node-count and wall-clock limits. The clock
+    is read only when a caller passes seconds."""
 
     def __init__(self, seconds=None, max_nodes=None):
         self.deadline = None if seconds is None else time.monotonic() + seconds
         self.max_nodes = max_nodes
         self.nodes = 0
         self.exhausted = False
-
-    def remaining(self):
-        """Seconds left before the deadline (negative once past it), or None
-        when there is no wall-clock limit."""
-        if self.deadline is None:
-            return None
-        return self.deadline - time.monotonic()
 
     def tick(self) -> bool:
         if self.exhausted:
@@ -158,12 +153,11 @@ def max_weight_stable_set(g: Graph, weights, within=None, time_budget=None,
     best_mask, best_val = _search(adj, weights, free0, free0, (), budget,
                                   greedy_mask, greedy_val)
     return MwssResult(tuple(bits(best_mask)), best_val,
-                      proven_optimal=not budget.exhausted)
+                      proven_optimal=not budget.exhausted, nodes=budget.nodes)
 
 
-def maximum_stable_set(g: Graph, time_budget=None, max_nodes=None) -> MwssResult:
-    return max_weight_stable_set(g, [1] * g.n, time_budget=time_budget,
-                                 max_nodes=max_nodes)
+def maximum_stable_set(g: Graph) -> MwssResult:
+    return max_weight_stable_set(g, [1] * g.n)
 
 
 class ConstrainedMwssQuery:
@@ -177,7 +171,7 @@ class ConstrainedMwssQuery:
     """
 
     def __init__(self, graph: Graph, weights, cover_cliques=(), avoid_cliques=(),
-                 time_budget=None, max_nodes=None, reference: Graph | None = None):
+                 max_nodes=None, reference: Graph | None = None):
         ref = graph if reference is None else reference
         if ref.n != graph.n:
             raise ValueError("reference graph has a different vertex count")
@@ -202,7 +196,6 @@ class ConstrainedMwssQuery:
         self.avoid_mask = 0
         for w in self.avoid_cliques:
             self.avoid_mask |= mask_of(w)
-        self.time_budget = time_budget
         self.max_nodes = max_nodes
 
 
@@ -210,7 +203,7 @@ def solve_constrained(query: ConstrainedMwssQuery) -> MwssResult:
     g = query.graph
     weights = query.weights
     covers = query.cover_masks
-    budget = _Budget(query.time_budget, query.max_nodes)
+    budget = _Budget(max_nodes=query.max_nodes)
 
     positive = mask_of(v for v in range(g.n) if weights[v] > 0)
     cover_union = 0
@@ -224,8 +217,10 @@ def solve_constrained(query: ConstrainedMwssQuery) -> MwssResult:
                                   budget)
     proven = not budget.exhausted
     if best_mask is None:
-        return MwssResult(None, None, proven, infeasible=proven)
-    return MwssResult(tuple(bits(best_mask)), best_val, proven)
+        return MwssResult(None, None, proven, infeasible=proven,
+                          nodes=budget.nodes)
+    return MwssResult(tuple(bits(best_mask)), best_val, proven,
+                      nodes=budget.nodes)
 
 
 def enumerate_stable_sets(g: Graph, max_n: int = 25):

@@ -111,16 +111,16 @@ def extend_trace(trace: ProjectionTrace, clique) -> ProjectionTrace:
     return new
 
 
-def is_projectable_edge(g: Graph, u: int, v: int, time_budget=None) -> bool:
+def is_projectable_edge(g: Graph, u: int, v: int) -> bool:
     """True when some maximum stable set meets {u, v}: removing the closed
     neighborhood of u (or of v) costs only the one vertex."""
     if not g.has_edge(u, v):
         raise ValueError("(%d, %d) is not an edge" % (u, v))
-    alpha = maximum_stable_set(g, time_budget=time_budget).best_value
+    alpha = maximum_stable_set(g).best_value
     for x in (u, v):
         rest = g.full_mask & ~(g.adj[x] | (1 << x))
         sub, _ = g.induced_subgraph(rest)
-        if maximum_stable_set(sub, time_budget=time_budget).best_value + 1 == alpha:
+        if maximum_stable_set(sub).best_value + 1 == alpha:
             return True
     return False
 

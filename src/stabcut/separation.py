@@ -26,7 +26,6 @@ class SeparationParams:
     max_ncuts: int = 20
     tomita_period: int = 10
     tomita_limit: int = 1000
-    lift_time_budget: float = 1.0
     pool_threshold: float = 0.65
 
 
@@ -184,8 +183,7 @@ def sep_for_stab(g: Graph, point, params: SeparationParams = None,
             if len(cuts) >= params.max_ncuts:
                 break
             try:
-                cut = lift(trace.prefix(tau), seed=seed,
-                           time_budget=params.lift_time_budget)
+                cut = lift(trace.prefix(tau), seed=seed)
             except LiftingAborted:
                 continue
             if cut.inequality.violation(point) > params.min_violation:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import pytest
 
 from stabcut.graph import Graph, bits
+from stabcut.lifting import EPS, ValidityReport
+from stabcut.mwss import enumerate_stable_sets
 from stabcut.projection import ProjectionTrace, extend_trace
 
 # 8-vertex running example used across the projection/lifting/facet tests.
@@ -105,3 +107,17 @@ def random_maximal_clique(g, rng):
         w.append(v)
         cand &= g.adj[v]
     return tuple(sorted(w))
+
+
+def enumerated_validity(g, ineq):
+    """Exact validity of ineq by listing every stable set of the subgraph on
+    its positive support: an oracle apart from check_validity's branch and
+    bound, for graphs of up to 25 vertices."""
+    pos = [v for v in ineq.support if ineq.coeffs[v] > 0]
+    sub, back = g.induced_subgraph(pos)
+    lhs_max, best = 0, ()
+    for s in enumerate_stable_sets(sub):
+        val = sum(ineq.coeffs[back[i]] for i in bits(s))
+        if val > lhs_max:
+            lhs_max, best = val, tuple(back[i] for i in bits(s))
+    return ValidityReport(lhs_max <= ineq.rhs + EPS, lhs_max, best)

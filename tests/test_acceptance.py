@@ -45,6 +45,7 @@ from conftest import (
     EXAMPLE8_FALSE_1,
     EXAMPLE8_SEED,
     EXAMPLE8_W1,
+    enumerated_validity,
     random_maximal_clique,
     random_trace,
 )
@@ -83,7 +84,8 @@ def test_demo_strengthened_lift_exact_cut(example8_trace):
 
 
 # ---------------------------------------------------------------------------
-# every cut the generators emit is valid, checked by exact enumeration
+# every cut the generators emit is valid, checked by check_validity's branch
+# and bound and by exact enumeration
 
 
 def test_every_emitted_cut_is_valid_on_random_graphs():
@@ -103,6 +105,7 @@ def test_every_emitted_cut_is_valid_on_random_graphs():
                 cut = lift(trace, seed=seed)
                 rep = check_validity(g, cut.inequality)
                 assert rep.valid, (trace.cliques, seed, cut.inequality.to_text())
+                assert enumerated_validity(g, cut.inequality).valid
                 lifted += 1
         if graphs % 8 == 0:
             point = [rng.choice([0.0, 0.3, 0.5, 0.7]) for _ in range(n)]
@@ -110,6 +113,7 @@ def test_every_emitted_cut_is_valid_on_random_graphs():
             for cut in outcome.cuts:
                 rep = check_validity(g, cut.inequality)
                 assert rep.valid, (cut.inequality.to_text(), point)
+                assert enumerated_validity(g, cut.inequality).valid
                 separated += 1
     assert graphs >= 200 and lifted >= 200 and separated >= 20
 

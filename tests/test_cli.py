@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import EXAMPLE8_EDGES
+from stabcut import cli
 from stabcut.cli import main
 from stabcut.graph import Graph, serialize_dimacs
 from stabcut.lifting import cut_to_json, strengthened_lift
@@ -104,6 +105,22 @@ def test_separate_c5_half_point(capsys, tmp_path):
     for r in rows:
         assert r["verdict"] == "valid"
         assert float(r["violation"]) > 0.03
+
+
+def test_separate_verifies_within_time_limit(capsys, tmp_path, monkeypatch):
+    # each cut's check gets --time-limit, not a budget of its own
+    budgets = []
+    check = cli.check_validity
+
+    def recording_check(g, ineq, **kwargs):
+        budgets.append(kwargs.get("time_budget"))
+        return check(g, ineq, **kwargs)
+
+    monkeypatch.setattr(cli, "check_validity", recording_check)
+    code, _, _ = run_cli(capsys, "separate", c5_file(tmp_path), "--point",
+                         "0.5,0.5,0.5,0.5,0.5", "--time-limit", "7.5")
+    assert code == 0
+    assert budgets and set(budgets) == {7.5}
 
 
 def test_separate_rejects_clique_procedure(capsys, tmp_path):

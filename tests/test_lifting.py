@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from stabcut import lifting
 from stabcut.graph import Graph, random_graph
 from stabcut.lifting import (
     Inequality,
@@ -22,6 +23,7 @@ from conftest import (
     EXAMPLE8_W1,
     EXAMPLE8_W2,
     EXAMPLE8_W3,
+    enumerated_validity,
     random_maximal_clique,
     random_trace,
 )
@@ -198,7 +200,29 @@ def test_strength_report_on_worked_example(example8_trace):
         strength_report(b, strengthened_lift(example8_trace, seed=(0, 1, 2)))
 
 
-def test_check_validity_paths(example8):
+def validity_cases():
+    """Seeded inequalities on random graphs with n <= 14: integer, negative
+    and dyadic coefficients (sums of dyadic values are exact in any order),
+    right sides on both sides of the optimum, some negative, and empty
+    supports."""
+    rng = random.Random(6106)
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        g = random_graph(n, rng.choice([0.1, 0.3, 0.5, 0.8]), seed=9000 + trial)
+        support = [v for v in range(n) if rng.random() < 0.7]
+        if trial % 25 == 0:
+            coeffs, rhs = {}, rng.randint(-2, 2)
+        elif trial % 3 == 0:
+            coeffs, rhs = {v: rng.randint(1, 5) for v in support}, rng.randint(-1, 10)
+        elif trial % 3 == 1:
+            coeffs, rhs = {v: rng.randint(-3, 4) for v in support}, rng.randint(-2, 8)
+        else:
+            coeffs = {v: rng.randint(-4, 12) / 4 for v in support}
+            rhs = rng.randint(-4, 32) / 4
+        yield g, Inequality(coeffs, rhs)
+
+
+def test_check_validity_matches_enumeration(example8):
     valid = Inequality({0: 1, 1: 1, 2: 1}, 1)
     rep = check_validity(example8, valid)
     assert rep.valid and rep.lhs_max == 1
@@ -207,15 +231,52 @@ def test_check_validity_paths(example8):
     assert not rep.valid
     assert rep.lhs_max == 3
     assert set(rep.witness) == {3, 4, 5}
-    # branch and bound path agrees with enumeration
-    rep_bb = check_validity(example8, invalid, enumerate_limit=0)
-    assert not rep_bb.valid and rep_bb.lhs_max == 3
     # a negative right side is invalid through the empty set
     assert not check_validity(example8, Inequality({0: 1}, -1)).valid
+    with pytest.raises(LiftingAborted):
+        check_validity(example8, valid, max_nodes=0)
+
+    cases = [(example8, valid), (example8, invalid),
+             (example8, Inequality({0: 1}, -1))] + list(validity_cases())
+    verdicts = set()
+    for g, ineq in cases:
+        rep = check_validity(g, ineq)
+        ref = enumerated_validity(g, ineq)
+        # same value and type, so that verify prints the same lhs_max column
+        assert rep.valid == ref.valid, ineq
+        assert rep.lhs_max == ref.lhs_max, ineq
+        assert type(rep.lhs_max) is type(ref.lhs_max), ineq
+        assert g.is_stable(rep.witness)
+        assert sum(ineq.coeffs[v] for v in rep.witness) == rep.lhs_max
+        verdicts.add((rep.valid, type(rep.lhs_max)))
+    assert verdicts == {(True, int), (False, int), (True, float), (False, float)}
 
 
-def test_lifting_abort_on_exhausted_budget(example8_trace):
+def test_lifting_abort_on_exhausted_budget(example8_trace, monkeypatch):
+    monkeypatch.setattr(lifting, "LIFT_MAX_NODES", 0)
     with pytest.raises(LiftingAborted):
-        basic_lift(example8_trace, seed=EXAMPLE8_SEED, time_budget=0)
+        basic_lift(example8_trace, seed=EXAMPLE8_SEED)
     with pytest.raises(LiftingAborted):
-        strengthened_lift(example8_trace, seed=EXAMPLE8_SEED, time_budget=0)
+        strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
+    # the factor solves of one lift share the budget: it suffices at their
+    # total node count and not one node below
+    for lift, solver in ((basic_lift, "max_weight_stable_set"),
+                         (strengthened_lift, "solve_constrained")):
+        nodes = []
+        solve = getattr(lifting, solver)
+
+        def recording_solve(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            nodes.append(res.nodes)
+            return res
+
+        monkeypatch.setattr(lifting, solver, recording_solve)
+        monkeypatch.setattr(lifting, "LIFT_MAX_NODES", 10 ** 6)
+        lift(example8_trace, seed=EXAMPLE8_SEED)
+        assert len(nodes) == 3 and min(nodes) >= 1
+        total = sum(nodes)
+        monkeypatch.setattr(lifting, "LIFT_MAX_NODES", total)
+        lift(example8_trace, seed=EXAMPLE8_SEED)
+        monkeypatch.setattr(lifting, "LIFT_MAX_NODES", total - 1)
+        with pytest.raises(LiftingAborted):
+            lift(example8_trace, seed=EXAMPLE8_SEED)

@@ -1,5 +1,7 @@
 import random
 
+from stabcut import mwss
+from stabcut.engine import VERIFY_MAX_NODES, cutting_plane_run
 from stabcut.graph import Graph, random_graph
 from stabcut.lifting import Inequality, check_validity
 from stabcut.projection import ProjectionTrace, extend_trace
@@ -147,3 +149,25 @@ def test_separation_is_deterministic_under_seed():
     assert [c.inequality.key() for c in first.cuts] == \
         [c.inequality.key() for c in second.cuts]
     assert first.projections_performed == second.projections_performed
+
+
+def test_separation_and_checks_never_read_the_clock(monkeypatch):
+    # lifts and cut checks stop on node counts, so which cuts come out does
+    # not depend on how fast the machine runs
+    class NoClock:
+        @staticmethod
+        def monotonic():
+            raise AssertionError("the MWSS search read the clock")
+
+    monkeypatch.setattr(mwss, "time", NoClock)
+    g = two_c5s()
+    point = [0.5] * 10
+    for procedure in ("basic", "strengthened"):
+        out = sep_for_stab(g, point, SeparationParams(min_depth=2, max_depth=6),
+                           procedure, rng=random.Random(3))
+        assert out.cuts
+        for cut in out.cuts:
+            assert check_validity(g, cut.inequality,
+                                  max_nodes=VERIFY_MAX_NODES).valid
+        rep = cutting_plane_run(g, procedure=procedure, max_rounds=3)
+        assert rep.cut_counts["rank"] + rep.cut_counts["weighted"] > 0
