@@ -18,7 +18,7 @@ def _tiebreak(n, rng=None):
 
 
 def point_weight(point, vertices) -> float:
-    return sum(point[v] for v in vertices)
+    return sum(map(point.__getitem__, vertices))
 
 
 def grow_clique(g: Graph, point, seed: int, covered: int = 0,
@@ -43,35 +43,46 @@ def grow_clique(g: Graph, point, seed: int, covered: int = 0,
 
 def enumerate_cliques_bounded(g: Graph, point, limit: int = 1000):
     """Maximal cliques by depth-first expansion with pivoting, cut off after
-    limit cliques. Returns (cliques, best) with best the heaviest clique found
-    under point (ties: lexicographically smallest vertex tuple)."""
+    limit cliques. Returns the cliques heaviest first under point (ties:
+    lexicographically smallest vertex tuple)."""
     adj = g.adj
     out = []
 
     def expand(r, subg, cand):
-        if len(out) >= limit:
-            return
-        if not subg:
-            out.append(tuple(sorted(r)))
-            return
-        # pivot maximizing |cand & N(u)| prunes the most branches
-        pivot = max(bits(subg), key=lambda u: (cand & adj[u]).bit_count())
+        # pivot maximizing |cand & N(u)| prunes the most branches; the
+        # first of equal counts wins, and nothing beats all of cand
+        top = cand.bit_count()
+        most = -1
+        rest = subg
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            count = (cand & adj[u]).bit_count()
+            if count > most:
+                most, pivot = count, u
+                if count == top:
+                    break
+            rest ^= low
         ext = cand & ~adj[pivot]
-        for q in bits(ext):
-            bit = 1 << q
+        while ext:
+            low = ext & -ext
+            q = low.bit_length() - 1
             r.append(q)
-            expand(r, subg & adj[q], cand & adj[q])
+            sub = subg & adj[q]
+            if sub:
+                expand(r, sub, cand & adj[q])
+            else:
+                out.append(tuple(sorted(r)))
             r.pop()
-            cand &= ~bit
             if len(out) >= limit:
                 return
+            cand ^= low
+            ext ^= low
 
-    if g.n:
+    if g.n and limit > 0:
         expand([], g.full_mask, g.full_mask)
-    best = None
-    if out:
-        best = min(out, key=lambda w: (-point_weight(point, w), w))
-    return out, best
+    out.sort(key=lambda w: (-point_weight(point, w), w))
+    return out
 
 
 def rounding_lower_bound(g: Graph, point):

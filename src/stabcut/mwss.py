@@ -57,74 +57,97 @@ class _Budget:
         return self.exhausted
 
 
-def _partition_bound(adj, order, weights, rem: int):
-    """Greedy clique partition bound: each clique contributes its heaviest
-    member, and seeds are taken heaviest first so that is the seed itself."""
+def _weight_classes(weights, mask: int):
+    """The vertices of mask grouped into (weight, members) pairs, heaviest
+    first, from one weight per vertex. The first vertex of any subset in
+    (-weight, vertex) order is then the lowest bit of the first class the
+    subset meets."""
+    members = {}
+    for v in bits(mask):
+        w = weights[v]
+        members[w] = members.get(w, 0) | (1 << v)
+    return sorted(members.items(), key=lambda item: -item[0])
+
+
+def _partition_bound(adj, classes, rem: int, val, limit) -> bool:
+    """Whether val plus a greedy clique partition bound on rem stays at or
+    below limit. Each clique contributes its heaviest member, and seeds are
+    taken heaviest first so that is the seed itself. The weights in rem are
+    positive, so the sum only grows and the scan stops once it passes
+    limit."""
     b = 0
-    for v in order:
-        bit = 1 << v
-        if not rem & bit:
-            continue
-        b += weights[v]
-        clique = bit
-        cand = rem & adj[v]
-        while cand:
-            low = cand & -cand
-            clique |= low
-            cand &= adj[low.bit_length() - 1]
-        rem &= ~clique
+    for w, members in classes:
+        seeds = rem & members
+        while seeds:
+            b += w
+            if val + b > limit:
+                return False
+            clique = seeds & -seeds
+            cand = rem & adj[clique.bit_length() - 1]
+            while cand:
+                low = cand & -cand
+                clique |= low
+                cand &= adj[low.bit_length() - 1]
+            rem &= ~clique
+            seeds = rem & members
         if not rem:
             break
-    return b
+    return val + b <= limit
 
 
-def _search(adj, weights, free0, positive, covers, budget, best_mask=None,
+def _search(adj, weights, classes, covers, budget, best_mask=None,
             best_val=0):
     """Branch and bound shared by both entry points: the heaviest stable set
-    inside free0 that holds exactly one vertex of every cover mask, starting
-    from an incumbent (best_mask None when there is none). While a cover is
-    unsatisfied the search branches over its free members, heaviest first;
-    after that only vertices of the mask positive are worth adding, one at a
-    time, in and then out. Returns the best mask (None when no set meets the
-    covers) and its value."""
+    inside the weight classes that holds exactly one vertex of every cover
+    mask, starting from an incumbent (best_mask None when there is none).
+    While a cover is unsatisfied the search branches over its free members,
+    heaviest first; after that only vertices of positive weight are worth
+    adding, one at a time, in and then out. Vertices are taken in (-weight,
+    vertex) order, read off the classes. Returns the best mask (None when no
+    set meets the covers) and its value."""
     ban = [0] * len(adj)  # choosing v additionally bans co-members of its covers
     for c in covers:
         for v in bits(c):
             ban[v] |= c
-    order = sorted(bits(free0), key=lambda v: (-weights[v], v))
-
-    def pruned(free, val):
-        if best_mask is None:
-            return False
-        b = _partition_bound(adj, order, weights, free & positive)
-        return val + b <= best_val + EPS
+    free0 = positive = 0
+    for w, members in classes:
+        free0 |= members
+        if w > 0:
+            positive |= members
+    positive_classes = [(w, m) for w, m in classes if w > 0]
+    tick = budget.tick
 
     def rec(chosen, free, val, unsat):
         nonlocal best_mask, best_val
-        if budget.tick():
+        if tick():
             return
         if not unsat:
             if best_mask is None or val > best_val + EPS:
                 best_mask, best_val = chosen, val
             free &= positive
-            if not free or pruned(free, val):
+            if not free or _partition_bound(adj, positive_classes, free, val,
+                                            best_val + EPS):
                 return
-            for v in order:
-                bit = 1 << v
-                if free & bit:
+            for _, members in positive_classes:
+                first = free & members
+                if first:
+                    bit = first & -first
+                    v = bit.bit_length() - 1
                     rec(chosen | bit, free & ~(adj[v] | bit), val + weights[v], unsat)
                     rec(chosen, free & ~bit, val, unsat)
                     return
             return
         cands = unsat[0] & free
-        if not cands or pruned(free, val):
+        if not cands or (best_mask is not None and _partition_bound(
+                adj, positive_classes, free & positive, val, best_val + EPS)):
             return
-        for v in sorted(bits(cands), key=lambda u: (-weights[u], u)):
-            bit = 1 << v
-            rec(chosen | bit,
-                free & ~(adj[v] | bit | ban[v]),
-                val + weights[v],
-                tuple(c for c in unsat if not c & bit))
+        for _, members in classes:
+            for v in bits(cands & members):
+                bit = 1 << v
+                rec(chosen | bit,
+                    free & ~(adj[v] | bit | ban[v]),
+                    val + weights[v],
+                    tuple(c for c in unsat if not c & bit))
 
     rec(0, free0, 0, covers)
     return best_mask, best_val
@@ -135,22 +158,27 @@ def max_weight_stable_set(g: Graph, weights, within=None, time_budget=None,
     """Heaviest stable set of g. Vertices with weight <= 0 are dropped up
     front; removing them from any stable set never lowers the value, so the
     optimum is unchanged and returned sets contain only positive weights."""
+    if len(weights) != g.n:
+        raise ValueError("need one weight per vertex")
     adj = g.adj
-    free0 = g.full_mask if within is None else within & g.full_mask
-    free0 = mask_of(v for v in bits(free0) if weights[v] > 0)
+    mask = g.full_mask if within is None else within & g.full_mask
+    classes = [(w, m) for w, m in _weight_classes(weights, mask) if w > 0]
     budget = _Budget(time_budget, max_nodes)
 
     # greedy incumbent, heaviest first
     greedy_mask, greedy_val = 0, 0
-    cand = free0
-    for v in sorted(bits(free0), key=lambda v: (-weights[v], v)):
-        bit = 1 << v
-        if cand & bit:
+    cand = mask
+    for _, members in classes:
+        free = cand & members
+        while free:
+            bit = free & -free
+            v = bit.bit_length() - 1
             greedy_mask |= bit
             greedy_val += weights[v]
             cand &= ~(adj[v] | bit)
+            free = cand & members
 
-    best_mask, best_val = _search(adj, weights, free0, free0, (), budget,
+    best_mask, best_val = _search(adj, weights, classes, (), budget,
                                   greedy_mask, greedy_val)
     return MwssResult(tuple(bits(best_mask)), best_val,
                       proven_optimal=not budget.exhausted, nodes=budget.nodes)
@@ -201,19 +229,23 @@ class ConstrainedMwssQuery:
 
 def solve_constrained(query: ConstrainedMwssQuery) -> MwssResult:
     g = query.graph
-    weights = query.weights
     covers = query.cover_masks
     budget = _Budget(max_nodes=query.max_nodes)
 
-    positive = mask_of(v for v in range(g.n) if weights[v] > 0)
     cover_union = 0
     for c in covers:
         cover_union |= c
     # cover members stay searchable whatever their weight; exactness of the
     # exactly-one constraints depends on it
-    free0 = (positive | cover_union) & ~query.avoid_mask
+    classes = []
+    for w, members in _weight_classes(query.weights,
+                                      g.full_mask & ~query.avoid_mask):
+        if not w > 0:
+            members &= cover_union
+        if members:
+            classes.append((w, members))
 
-    best_mask, best_val = _search(g.adj, weights, free0, positive, covers,
+    best_mask, best_val = _search(g.adj, query.weights, classes, covers,
                                   budget)
     proven = not budget.exhausted
     if best_mask is None:

@@ -26,16 +26,23 @@ def clique_project(g: Graph, w):
     # v can partner u only if v misses no member that u misses: drop from
     # u's outside non-neighbours above u every vertex that misses one of
     # u's missed members, one bitmask per member
+    base = g.adj
     outside = g.full_mask & ~wmask
-    misses = {b: outside & ~g.adj[b] for b in bits(wmask)}
+    misses = {b: outside & ~base[b] for b in bits(wmask)}
+    adj = list(base)
     false_edges = []
     for u in bits(outside):
-        partners = outside & ~g.adj[u] & ~((2 << u) - 1)
-        for b in bits(wmask & ~g.adj[u]):
+        partners = outside & ~base[u] & ~((2 << u) - 1)
+        for b in bits(wmask & ~base[u]):
             partners &= ~misses[b]
-        false_edges.extend((u, v) for v in bits(partners))
-    false_edges = tuple(false_edges)
-    return g.with_edges(false_edges), false_edges
+        if partners:
+            adj[u] |= partners
+            bit = 1 << u
+            for v in bits(partners):
+                false_edges.append((u, v))
+                adj[v] |= bit
+    # the false edges join distinct vertices of g, so the masks stay valid
+    return Graph._trusted(adj, g.name), tuple(false_edges)
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,10 @@ class ProjectionTrace:
             raise IndexError("prefix %d of a %d step trace" % (t, self.r))
         if t == self.r:
             return self
-        return ProjectionTrace(self.base, self.steps[:t])
+        head = ProjectionTrace(self.base, self.steps[:t])
+        # the graphs already built up to step t are the prefix's own
+        head._graphs = self._graphs[:t + 1]
+        return head
 
     def __eq__(self, other):
         return (isinstance(other, ProjectionTrace)

@@ -106,11 +106,10 @@ def _next_from_false_edges(trace, point, used):
 def _next_from_enumeration(trace, point, tried, params):
     """Replacement pick: enumerate maximal cliques of the current graph and
     take the heaviest one not already tried, with a hard attempt cap."""
-    cliques, _ = enumerate_cliques_bounded(trace.final_graph, point,
-                                           params.tomita_limit)
+    cliques = enumerate_cliques_bounded(trace.final_graph, point,
+                                        params.tomita_limit)
     previous = {frozenset(w) for w in trace.cliques}
-    ordered = sorted(cliques, key=lambda w: (-point_weight(point, w), w))
-    for w in ordered[:4 * params.max_depth]:
+    for w in cliques[:4 * params.max_depth]:
         key = frozenset(w)
         if key in tried or key in previous:
             continue

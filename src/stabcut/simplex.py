@@ -81,6 +81,10 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     of this call's rows (same n, same objective). The old basis stays dual
     feasible after rows are appended, so reoptimization runs a few dual
     steps instead of a fresh walk. A token that does not fit is ignored.
+
+    Raises ValueError on non-finite input, on a negative right side, and on
+    a nonzero coefficient below PIVOT_TOL, or 0 by underflow, once its row
+    is divided by its largest entry (when that exceeds 1).
     """
     if objective is None:
         objective = [1.0] * n
@@ -99,6 +103,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     total = n + m
     acols = np.zeros((m, total))
     b = np.zeros(m)
+    scales = np.ones(m)
     for i, (coeffs, rhs) in enumerate(rows):
         if not math.isfinite(rhs):
             raise ValueError("row %d has non-finite right side %r" % (i, rhs))
@@ -111,16 +116,27 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                 raise ValueError("row %d has non-finite coefficient %r on "
                                  "variable %d" % (i, coef, v))
             acols[i, v] = coef
-        # equilibrate: lifted cuts can carry coefficients orders of magnitude
-        # above the clique rows, which wrecks basis conditioning. Dividing a
-        # row by its largest entry changes nothing about the feasible set.
-        scale = max(abs(coef) for coef in coeffs.values()) if coeffs else 1.0
-        if scale > 1.0:
-            acols[i, :n] /= scale
-            b[i] = rhs / scale
-        else:
-            b[i] = rhs
+        if coeffs:
+            scales[i] = max(1.0, max(abs(coef) for coef in coeffs.values()))
+        b[i] = rhs
         acols[i, n + i] = 1.0
+    # equilibrate: lifted cuts can carry coefficients orders of magnitude
+    # above the clique rows, which wrecks basis conditioning. Dividing a
+    # row by its largest entry changes nothing about the feasible set.
+    nonzero = acols[:, :n] != 0
+    acols[:, :n] /= scales[:, None]
+    b /= scales
+    # the ratio tests skip pivots within PIVOT_TOL of zero, so a smaller
+    # nonzero coefficient, given or left by the division (which can
+    # underflow to 0), would be read as 0 and the reported optimum could
+    # be wrong
+    tiny = np.argwhere(nonzero & (np.abs(acols[:, :n]) < PIVOT_TOL))
+    if tiny.size:
+        i, v = (int(k) for k in tiny[0])
+        raise ValueError("row %d has coefficient %r on variable %d, of size "
+                         "%g after row equilibration, below PIVOT_TOL=%g"
+                         % (i, rows[i][0][v], v, abs(float(acols[i, v])),
+                            PIVOT_TOL))
 
     c = np.zeros(total)
     c[:n] = objective

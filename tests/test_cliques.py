@@ -61,19 +61,18 @@ def test_bounded_enumeration_matches_brute_force():
         n = rng.randint(3, 9)
         g = random_graph(n, rng.choice([0.3, 0.6]), seed=400 + trial)
         point = [rng.random() for _ in range(n)]
-        cliques, best = enumerate_cliques_bounded(g, point, limit=10000)
+        cliques = enumerate_cliques_bounded(g, point, limit=10000)
         assert set(cliques) == brute_maximal_cliques(g)
         assert len(set(cliques)) == len(cliques)
         want = max(point_weight(point, w) for w in cliques)
-        assert point_weight(point, best) == want
+        assert point_weight(point, cliques[0]) == want
 
 
 def test_bounded_enumeration_stops_at_limit():
     g = random_graph(18, 0.6, seed=9)
     point = [1.0] * 18
-    cliques, best = enumerate_cliques_bounded(g, point, limit=5)
+    cliques = enumerate_cliques_bounded(g, point, limit=5)
     assert len(cliques) == 5
-    assert best in cliques
 
 
 def test_rounding_lower_bound_properties(c5):
@@ -89,3 +88,46 @@ def test_rounding_lower_bound_properties(c5):
         for v in range(n):
             if v not in inside:
                 assert any(g.has_edge(v, u) for u in s)  # maximal
+
+
+def reference_enumeration(g, limit):
+    """Maximal cliques in the order of the recursive expansion the bounded
+    enumeration replaced: Tomita pivoting on the first vertex of largest
+    candidate count, stopped after limit cliques."""
+    adj = g.adj
+    out = []
+
+    def expand(r, subg, cand):
+        if len(out) >= limit:
+            return
+        if not subg:
+            out.append(tuple(sorted(r)))
+            return
+        pivot = max(bits(subg), key=lambda u: (cand & adj[u]).bit_count())
+        ext = cand & ~adj[pivot]
+        for q in bits(ext):
+            r.append(q)
+            expand(r, subg & adj[q], cand & adj[q])
+            r.pop()
+            cand &= ~(1 << q)
+            if len(out) >= limit:
+                return
+
+    if g.n:
+        expand([], g.full_mask, g.full_mask)
+    return out
+
+
+def test_bounded_enumeration_keeps_the_reference_cliques_heaviest_first():
+    # the limit decides which cliques survive, so the expansion order must
+    # be the reference's; the result is that prefix sorted by weight
+    rng = random.Random(2718)
+    for trial in range(30):
+        n = rng.randint(1, 22)
+        g = random_graph(n, rng.choice([0.3, 0.5, 0.7, 0.9]), seed=4400 + trial)
+        point = rng.choice([[rng.random() for _ in range(n)],
+                            [rng.randint(0, 4) / 4 for _ in range(n)]])
+        for limit in (0, 1, 5, 1000):
+            cliques = enumerate_cliques_bounded(g, point, limit)
+            ref = reference_enumeration(g, limit)
+            assert cliques == sorted(ref, key=lambda w: (-point_weight(point, w), w))

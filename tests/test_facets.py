@@ -289,7 +289,7 @@ def test_facet_certificates_match_dimension_oracle_fuzz():
         if not witnesses:
             continue
         gr = trace.final_graph
-        cliques, _ = enumerate_cliques_bounded(gr, [1.0] * n, 500)
+        cliques = enumerate_cliques_bounded(gr, [1.0] * n, 500)
         for witness in witnesses[:2]:
             for seed in cliques:
                 if not check_seed(trace, witness, seed):

@@ -158,6 +158,12 @@ def test_lifted_cuts_are_valid_fuzz():
 
 
 def test_strength_chain_fuzz():
+    # Checked on every pair: both cuts are valid, each right side is
+    # attained inside its cut's support, and the last factor of the
+    # strengthened lift is at most the basic one. Right-side domination,
+    # support containment and per-vertex coefficient domination are not
+    # guaranteed; test_strengthened_rhs_can_exceed_basic_rhs pins a pair
+    # that breaks the first and the last.
     rng = random.Random(777)
     ran = 0
     for trial in range(40):
@@ -170,23 +176,38 @@ def test_strength_chain_fuzz():
         b = basic_lift(trace, seed=seed)
         s = strengthened_lift(trace, seed=seed)
         rep = strength_report(b, s)
-        # the tightness equalities hold for every pair; rhs domination and
-        # support containment hold on this seeded population but not in
-        # general, not even on walks with no empty side-constrained region
-        # and a seed outside the last clique:
-        # random_graph(9, 0.7, seed=419283748) with walk (1,7), (1,2,5),
-        # (4,5,6) and seed (0,2,3,4,5,6,7,8) gives basic rhs 3 and
-        # strengthened rhs 4, both cuts valid
         assert rep.alpha_basic == rep.rhs_basic
         assert rep.alpha_strengthened == rep.rhs_strengthened
-        assert rep.rhs_strengthened <= rep.rhs_basic
-        assert rep.support_contained
         assert rep.last_factor_dominated
-        for v in s.inequality.support:
-            assert s.inequality.coeffs[v] <= b.inequality.coeffs.get(v, 0) \
-                or s.inequality.coeffs[v] < 0
+        assert check_validity(g, b.inequality).valid
+        assert check_validity(g, s.inequality).valid
         ran += 1
     assert ran >= 15
+
+
+def test_strengthened_rhs_can_exceed_basic_rhs():
+    # both cuts are valid and tight, yet the strengthened right side is the
+    # larger one, with the seed outside the last clique and no empty
+    # side-constrained region; so are the strengthened coefficients of
+    # vertices 1, 2 and 7 (4, 2, 4 against 2, 1, 3)
+    g = random_graph(9, 0.7, seed=419283748)
+    trace = ProjectionTrace(g)
+    for w in ((1, 7), (1, 2, 5), (4, 5, 6)):
+        trace = extend_trace(trace, w)
+    seed = (0, 2, 3, 4, 5, 6, 7, 8)
+    b = basic_lift(trace, seed=seed)
+    s = strengthened_lift(trace, seed=seed)
+    assert b.inequality == Inequality(
+        {0: 1, 1: 2, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 3, 8: 1}, 3)
+    assert s.inequality == Inequality(
+        {0: 1, 1: 4, 2: 2, 3: 1, 5: 1, 7: 4, 8: 1}, 4)
+    assert (b.factors, s.factors) == ((2, 0, 0), (3, 1, -1))
+    rep = strength_report(b, s)
+    assert (rep.rhs_basic, rep.rhs_strengthened) == (3, 4)
+    assert (rep.alpha_basic, rep.alpha_strengthened) == (3, 4)
+    assert rep.last_factor_dominated
+    assert check_validity(g, b.inequality).valid
+    assert check_validity(g, s.inequality).valid
 
 
 def test_strength_report_on_worked_example(example8_trace):

@@ -6,7 +6,10 @@ import pytest
 
 from stabcut.graph import Graph, mask_of, random_graph
 from stabcut.mwss import (
+    EPS,
     ConstrainedMwssQuery,
+    _partition_bound,
+    _weight_classes,
     enumerate_stable_sets,
     max_weight_stable_set,
     maximum_stable_set,
@@ -72,6 +75,13 @@ def test_within_restriction():
         r = max_weight_stable_set(g, weights, within=within)
         assert r.mask() & ~within == 0
         assert r.best_value == brute_max(g, weights, within_mask=within)
+
+
+def test_one_weight_per_vertex():
+    g = random_graph(6, 0.3, seed=3)
+    for weights in ([1] * 5, [1] * 7):
+        with pytest.raises(ValueError, match="one weight per vertex"):
+            max_weight_stable_set(g, weights)
 
 
 def test_all_nonpositive_weights():
@@ -229,3 +239,81 @@ def test_matches_networkx_max_weight_clique():
         assert r.best_value == expect, trial
         assert g.is_stable(r.best_set)
         assert sum(weights[v] for v in r.best_set) == r.best_value
+
+
+def test_constrained_with_covers_matches_brute_force():
+    # Every query has at least one cover, and cover members often carry a
+    # zero or negative weight, so the search has to branch on vertices that
+    # its bound never counts. A bound that stopped early while a cover was
+    # still open once gave wrong optima here.
+    rng = random.Random(5150)
+    outcomes = set()
+    for trial in range(400):
+        n = rng.randint(4, 13)
+        g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), seed=11000 + trial)
+        weights = [rng.randint(-3, 6) for _ in range(n)]
+        covers = [grow_clique(g, rng.randrange(n), rng)
+                  for _ in range(rng.randint(1, 3))]
+        for c in covers:
+            for v in c:
+                if rng.random() < 0.5:
+                    weights[v] = rng.choice([0, 0, -1, -2])
+        avoids = [grow_clique(g, rng.randrange(n), rng)
+                  for _ in range(rng.randint(0, 1))]
+        r = solve_constrained(ConstrainedMwssQuery(
+            g, weights, cover_cliques=covers, avoid_cliques=avoids))
+        expect = constrained_brute(g, weights, covers, avoids)
+        assert r.proven_optimal, trial
+        assert r.infeasible == (expect is None), trial
+        assert r.best_value == expect, trial
+        if expect is not None:
+            assert g.is_stable(r.best_set)
+            assert sum(weights[v] for v in r.best_set) == expect
+        outcomes.add(expect is None)
+    assert outcomes == {True, False}
+
+
+def reference_partition_bound(adj, order, weights, rem):
+    """The greedy clique partition bound as a full sum: seeds in (-weight,
+    vertex) order, each clique grown by lowest vertex and counted by its
+    seed."""
+    b = 0
+    for v in order:
+        bit = 1 << v
+        if not rem & bit:
+            continue
+        b += weights[v]
+        clique = bit
+        cand = rem & adj[v]
+        while cand:
+            low = cand & -cand
+            clique |= low
+            cand &= adj[low.bit_length() - 1]
+        rem &= ~clique
+        if not rem:
+            break
+    return b
+
+
+def test_partition_bound_prunes_as_the_full_sum():
+    rng = random.Random(8086)
+    decisions = set()
+    for trial in range(2000):
+        n = rng.randint(1, 16)
+        g = random_graph(n, rng.choice([0.2, 0.5, 0.8]), seed=12000 + trial)
+        if trial % 2:
+            weights = [rng.randint(1, 4) for _ in range(n)]
+        else:
+            weights = [rng.randint(1, 16) / 8 for _ in range(n)]
+        classes = _weight_classes(weights, g.full_mask)
+        order = sorted(range(n), key=lambda v: (-weights[v], v))
+        rem = mask_of(v for v in range(n) if rng.random() < 0.7)
+        b = reference_partition_bound(g.adj, order, weights, rem)
+        val = rng.choice([0, rng.randint(0, 6), rng.randint(0, 48) / 8])
+        best_val = val + b + rng.choice([-1, -EPS, 0, 0, EPS / 2, 1]) \
+            * rng.choice([1, 0.5])
+        expect = val + b <= best_val + EPS
+        got = _partition_bound(g.adj, classes, rem, val, best_val + EPS)
+        assert got == expect, (trial, rem, val, best_val)
+        decisions.add(got)
+    assert decisions == {True, False}
