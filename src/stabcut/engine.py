@@ -75,17 +75,16 @@ class BoundReport:
 
 def cutting_plane_run(g: Graph, params: SeparationParams = None,
                       procedure: str = "strengthened", time_limit: float = 120.0,
-                      seed: int = 0, verify_cuts: bool = True,
-                      max_rounds: int = 100) -> BoundReport:
+                      seed: int = 0, max_rounds: int = 100) -> BoundReport:
     """Compute an LP-based upper bound on the stability number of g.
 
     procedure selects what gets added each round: "clique" adds only violated
     pool cliques, "basic" and "strengthened" also run projection-walk
     separation with the matching lifting. Every lifted cut is re-verified
-    against the graph before entering the LP unless verify_cuts is off; a
-    cut that cannot be verified within VERIFY_MAX_NODES search nodes is
-    dropped, a provably invalid one is a bug and raises. Only time_limit,
-    checked between rounds, reads the clock.
+    against the graph before entering the LP; a cut that cannot be verified
+    within VERIFY_MAX_NODES search nodes is dropped, a provably invalid one
+    is a bug and raises. Only time_limit, checked between rounds, reads the
+    clock.
     """
     if procedure not in ("clique", "basic", "strengthened"):
         raise ValueError("unknown procedure %r" % procedure)
@@ -142,15 +141,13 @@ def cutting_plane_run(g: Graph, params: SeparationParams = None,
             out = sep_for_stab(g, x, params, procedure, rng, pool=pool)
             for cut in out.cuts:
                 ineq = cut.inequality.normalized()
-                if verify_cuts:
-                    try:
-                        report = check_validity(g, ineq,
-                                                max_nodes=VERIFY_MAX_NODES)
-                    except LiftingAborted:
-                        continue
-                    if not report.valid:
-                        raise RuntimeError("separation produced an invalid "
-                                           "cut: %s" % ineq.to_text())
+                try:
+                    report = check_validity(g, ineq, max_nodes=VERIFY_MAX_NODES)
+                except LiftingAborted:
+                    continue
+                if not report.valid:
+                    raise RuntimeError("separation produced an invalid cut: %s"
+                                       % ineq.to_text())
                 if add_row(ineq):
                     counts[classify_cut(g, ineq)] += 1
                     added += 1

@@ -28,29 +28,22 @@ class DimacsError(ValueError):
         self.lineno = lineno
 
 
-def _add_edges(adj, edges):
-    """Set both bits of every edge in the adjacency masks, in place, after
-    rejecting self-loops and endpoints outside 0..len(adj)-1."""
-    n = len(adj)
-    for u, v in edges:
-        if u == v:
-            raise ValueError("self-loop at vertex %d" % u)
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
-
-
 class Graph:
     """Immutable simple graph. adj[v] is the neighbor bitmask of vertex v.
 
-    Structural edits (adding edges, taking subgraphs, complementing) return
-    new Graph objects; instances are never mutated after construction.
+    Structural edits (taking subgraphs, complementing) return new Graph
+    objects; instances are never mutated after construction.
     """
 
     def __init__(self, n: int, edges=(), name: str = ""):
-        adj = _add_edges([0] * n, edges)
+        adj = [0] * n
+        for u, v in edges:
+            if u == v:
+                raise ValueError("self-loop at vertex %d" % u)
+            if not (0 <= u < n) or not (0 <= v < n):
+                raise ValueError("edge (%d, %d) out of range for n=%d" % (u, v, n))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
         self.name = name
@@ -127,11 +120,6 @@ class Graph:
             if m & self.adj[v]:
                 return False
         return True
-
-    def with_edges(self, extra, name: str = "") -> Graph:
-        """New graph with the given extra edges added."""
-        adj = _add_edges(list(self.adj), extra)
-        return Graph._trusted(adj, name or self.name)
 
     def induced_subgraph(self, vertices):
         """Subgraph induced by the given vertices.

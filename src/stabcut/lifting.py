@@ -14,8 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 
-from .graph import Graph, mask_of
-from .mwss import ConstrainedMwssQuery, max_weight_stable_set, solve_constrained
+from .graph import Graph
+from .mwss import max_weight_stable_set, solve_constrained
 from .projection import ProjectionTrace, trace_from_json, trace_to_json
 
 EPS = 1e-9
@@ -171,17 +171,14 @@ def _basic_step(trace, t, f, max_nodes):
     g = trace.graph_at(t - 1)
     return max_weight_stable_set(
         g, f.as_weights(g.n),
-        within=g.full_mask & ~mask_of(trace.cliques[t - 1]),
+        within=~trace.masks[t - 1],
         max_nodes=max_nodes)
 
 
 def _strengthened_step(trace, t, f, max_nodes):
-    return solve_constrained(ConstrainedMwssQuery(
-        trace.base, f.as_weights(trace.base.n),
-        cover_cliques=trace.cliques[:t - 1],
-        avoid_cliques=(trace.cliques[t - 1],),
-        max_nodes=max_nodes,
-        reference=trace.graph_at(t - 1)))
+    return solve_constrained(trace.base, f.as_weights(trace.base.n),
+                             covers=trace.masks[:t - 1],
+                             avoid=trace.masks[t - 1], max_nodes=max_nodes)
 
 
 def basic_lift(trace: ProjectionTrace, seed=None, lift_from=None) -> LiftedCut:

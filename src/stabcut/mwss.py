@@ -1,9 +1,10 @@
 """Maximum weight stable sets by branch and bound over bitmask graphs.
 
 Two entry points over one search: max_weight_stable_set for plain
-instances, and solve_constrained for instances with clique side constraints
-(each cover clique must contain exactly one chosen vertex, every avoid
-clique none).
+instances, and solve_constrained for instances with side constraints given
+as vertex masks (each cover mask must contain exactly one chosen vertex, the
+avoid mask none). The side sets may be any vertex sets; they need not be
+cliques of the graph.
 """
 
 from __future__ import annotations
@@ -188,49 +189,25 @@ def maximum_stable_set(g: Graph) -> MwssResult:
     return max_weight_stable_set(g, [1] * g.n)
 
 
-class ConstrainedMwssQuery:
-    """MWSS with clique side constraints.
+def solve_constrained(g: Graph, weights, covers=(), avoid=0,
+                      max_nodes=None) -> MwssResult:
+    """Heaviest stable set of g that holds exactly one vertex of every cover
+    mask and no vertex of the avoid mask, within max_nodes search nodes.
 
-    Every cover clique must hold exactly one chosen vertex; every vertex of an
-    avoid clique is banned. The side sets are validated as cliques of
-    `reference` on construction; callers pass a reference when the sets were
-    built on a graph with extra edges, since they need not be cliques of the
-    solve graph itself.
+    The covers may be any vertex sets, cliques of g or not: choosing a vertex
+    bans the other members of its covers, which enforces exactly one per
+    cover either way. The strengthened lift relies on this, since its covers
+    are cliques of projected graphs and need not be cliques of g.
     """
-
-    def __init__(self, graph: Graph, weights, cover_cliques=(), avoid_cliques=(),
-                 max_nodes=None, reference: Graph | None = None):
-        ref = graph if reference is None else reference
-        if ref.n != graph.n:
-            raise ValueError("reference graph has a different vertex count")
-        if len(weights) != graph.n:
-            raise ValueError("need one weight per vertex")
-        for name, group in (("cover", cover_cliques), ("avoid", avoid_cliques)):
-            for w in group:
-                for v in w:
-                    if not (0 <= v < graph.n):
-                        raise ValueError("%s clique vertex %d out of range" % (name, v))
-                if not ref.is_clique(w):
-                    raise ValueError("%s set %r is not a clique of the reference"
-                                     % (name, tuple(w)))
-        for w in cover_cliques:
-            if not w:
-                raise ValueError("cover clique must be nonempty")
-        self.graph = graph
-        self.weights = list(weights)
-        self.cover_cliques = tuple(tuple(w) for w in cover_cliques)
-        self.avoid_cliques = tuple(tuple(w) for w in avoid_cliques)
-        self.cover_masks = tuple(mask_of(w) for w in self.cover_cliques)
-        self.avoid_mask = 0
-        for w in self.avoid_cliques:
-            self.avoid_mask |= mask_of(w)
-        self.max_nodes = max_nodes
-
-
-def solve_constrained(query: ConstrainedMwssQuery) -> MwssResult:
-    g = query.graph
-    covers = query.cover_masks
-    budget = _Budget(max_nodes=query.max_nodes)
+    if len(weights) != g.n:
+        raise ValueError("need one weight per vertex")
+    covers = tuple(covers)
+    for c in covers:
+        if not c or c & ~g.full_mask:
+            raise ValueError("cover mask %#x is empty or not within the graph" % c)
+    if avoid & ~g.full_mask:
+        raise ValueError("avoid mask %#x is not within the graph" % avoid)
+    budget = _Budget(max_nodes=max_nodes)
 
     cover_union = 0
     for c in covers:
@@ -238,15 +215,13 @@ def solve_constrained(query: ConstrainedMwssQuery) -> MwssResult:
     # cover members stay searchable whatever their weight; exactness of the
     # exactly-one constraints depends on it
     classes = []
-    for w, members in _weight_classes(query.weights,
-                                      g.full_mask & ~query.avoid_mask):
+    for w, members in _weight_classes(weights, g.full_mask & ~avoid):
         if not w > 0:
             members &= cover_union
         if members:
             classes.append((w, members))
 
-    best_mask, best_val = _search(g.adj, query.weights, classes, covers,
-                                  budget)
+    best_mask, best_val = _search(g.adj, weights, classes, covers, budget)
     proven = not budget.exhausted
     if best_mask is None:
         return MwssResult(None, None, proven, infeasible=proven,

@@ -56,45 +56,45 @@ class ProjectionTrace:
 
     Step t projects graph_at(t-1) onto steps[t-1].clique, so graph_at(t)
     carries the union of the base edges and all false edges up to t. The
-    constructor trusts its arguments; build traces through extend_trace or
-    trace_from_json, which validate each step.
+    trace stores every level's graph (graphs[t] is graph_at(t)) and every
+    step's clique as a sorted tuple (cliques) and as a bitmask (masks).
+    ProjectionTrace(base) starts a trace; extend_trace and trace_from_json
+    grow it, validating each step.
     """
 
-    def __init__(self, base: Graph, steps=()):
+    def __init__(self, base: Graph):
         self.base = base
-        self.steps = tuple(steps)
-        self._graphs = [base]
+        self.steps = self.cliques = self.masks = ()
+        self.graphs = (base,)
+
+    def _derived(self, steps, graphs, cliques, masks) -> ProjectionTrace:
+        """A trace over the same base holding the given, already validated
+        levels."""
+        trace = ProjectionTrace(self.base)
+        trace.steps, trace.graphs = steps, graphs
+        trace.cliques, trace.masks = cliques, masks
+        return trace
 
     @property
     def r(self) -> int:
         return len(self.steps)
 
-    @property
-    def cliques(self):
-        return tuple(s.clique for s in self.steps)
-
     def graph_at(self, t: int) -> Graph:
         if not (0 <= t <= self.r):
             raise IndexError("no graph at step %d of a %d step trace" % (t, self.r))
-        while len(self._graphs) <= t:
-            k = len(self._graphs)
-            self._graphs.append(
-                self._graphs[k - 1].with_edges(self.steps[k - 1].false_edges))
-        return self._graphs[t]
+        return self.graphs[t]
 
     @property
     def final_graph(self) -> Graph:
-        return self.graph_at(self.r)
+        return self.graphs[-1]
 
     def prefix(self, t: int) -> ProjectionTrace:
         if not (0 <= t <= self.r):
             raise IndexError("prefix %d of a %d step trace" % (t, self.r))
         if t == self.r:
             return self
-        head = ProjectionTrace(self.base, self.steps[:t])
-        # the graphs already built up to step t are the prefix's own
-        head._graphs = self._graphs[:t + 1]
-        return head
+        return self._derived(self.steps[:t], self.graphs[:t + 1],
+                             self.cliques[:t], self.masks[:t])
 
     def __eq__(self, other):
         return (isinstance(other, ProjectionTrace)
@@ -109,16 +109,13 @@ def extend_trace(trace: ProjectionTrace, clique) -> ProjectionTrace:
     final graph and distinct (as a set) from every earlier step's clique;
     steps that add no false edges are legal."""
     w = tuple(sorted(clique))
-    current = trace.final_graph
     wmask = mask_of(w)
-    for step in trace.steps:
-        if mask_of(step.clique) == wmask:
-            raise ValueError("clique %r already used in this trace" % (w,))
-    projected, false_edges = clique_project(current, w)
-    new = ProjectionTrace(trace.base, trace.steps + (TraceStep(w, false_edges),))
-    # final_graph above forced the full cache, so it can be carried over
-    new._graphs = trace._graphs[:trace.r + 1] + [projected]
-    return new
+    if wmask in trace.masks:
+        raise ValueError("clique %r already used in this trace" % (w,))
+    projected, false_edges = clique_project(trace.final_graph, w)
+    return trace._derived(trace.steps + (TraceStep(w, false_edges),),
+                          trace.graphs + (projected,),
+                          trace.cliques + (w,), trace.masks + (wmask,))
 
 
 def is_projectable_edge(g: Graph, u: int, v: int) -> bool:

@@ -70,14 +70,6 @@ def test_lifting_procedures_close_c5():
         assert report.cut_counts["rank"] >= 1
 
 
-def test_verification_toggle_matches():
-    params = SeparationParams(min_depth=0, max_depth=4)
-    a = cutting_plane_run(c5(), params, "strengthened", verify_cuts=True)
-    b = cutting_plane_run(c5(), params, "strengthened", verify_cuts=False)
-    assert abs(a.bound - b.bound) < 1e-12
-    assert a.cuts_added == b.cuts_added
-
-
 def test_petersen_bound_improves_toward_alpha():
     g = petersen()
     plain = cutting_plane_run(g, procedure="clique")

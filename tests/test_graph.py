@@ -64,16 +64,6 @@ def test_clique_and_stable_checks(example8):
     assert g.is_stable([])
 
 
-def test_with_edges_leaves_original_alone(example8):
-    g = example8
-    g2 = g.with_edges([(3, 4), (4, 5)])
-    assert g2.has_edge(3, 4) and g2.has_edge(4, 5)
-    assert not g.has_edge(3, 4)
-    assert g2.num_edges() == g.num_edges() + 2
-    with pytest.raises(ValueError):
-        g.with_edges([(0, 8)])
-
-
 def test_induced_subgraph_mapping(example8):
     sub, back = example8.induced_subgraph([1, 4, 5, 6, 7])
     assert back == (1, 4, 5, 6, 7)

@@ -7,7 +7,6 @@ import pytest
 from stabcut.graph import Graph, mask_of, random_graph
 from stabcut.mwss import (
     EPS,
-    ConstrainedMwssQuery,
     _partition_bound,
     _weight_classes,
     enumerate_stable_sets,
@@ -100,27 +99,22 @@ def test_budget_interrupts_search():
     assert r.best_value >= 1
 
 
-def test_constrained_query_validation(example8):
+def test_constrained_input_validation(example8):
     g = example8
-    with pytest.raises(ValueError):
-        ConstrainedMwssQuery(g, [1] * 8, cover_cliques=[(0, 1, 3)])  # 1-3 not an edge
-    with pytest.raises(ValueError):
-        ConstrainedMwssQuery(g, [1] * 8, avoid_cliques=[(0, 9)])
-    with pytest.raises(ValueError):
-        ConstrainedMwssQuery(g, [1] * 7)
-    with pytest.raises(ValueError):
-        ConstrainedMwssQuery(g, [1] * 8, cover_cliques=[()])
-    # not a clique of g, but a clique of the reference with the extra edge
-    ref = g.with_edges([(1, 3)])
-    q = ConstrainedMwssQuery(g, [1] * 8, cover_cliques=[(0, 1, 3)], reference=ref)
-    assert q.cover_cliques == ((0, 1, 3),)
+    with pytest.raises(ValueError, match="cover mask"):
+        solve_constrained(g, [1] * 8, covers=[mask_of((0, 1)), 0])
+    for mask in (1 << 8, mask_of((0, 9)), -1):
+        with pytest.raises(ValueError, match="cover mask"):
+            solve_constrained(g, [1] * 8, covers=[mask])
+        with pytest.raises(ValueError, match="avoid mask"):
+            solve_constrained(g, [1] * 8, avoid=mask)
+    with pytest.raises(ValueError, match="one weight per vertex"):
+        solve_constrained(g, [1] * 7)
 
 
 def test_constrained_infeasible_when_cover_fully_avoided(example8):
-    q = ConstrainedMwssQuery(example8, [1] * 8,
-                             cover_cliques=[(0, 1, 2)],
-                             avoid_cliques=[(0, 1, 2)])
-    r = solve_constrained(q)
+    r = solve_constrained(example8, [1] * 8, covers=[mask_of((0, 1, 2))],
+                          avoid=mask_of((0, 1, 2)))
     assert r.infeasible and r.proven_optimal
     assert r.best_set is None and r.best_value is None
 
@@ -163,9 +157,8 @@ def test_constrained_matches_enumeration_oracle():
                   for _ in range(rng.randint(0, 2))]
         avoids = [grow_clique(g, rng.randrange(n), rng)
                   for _ in range(rng.randint(0, 1))]
-        q = ConstrainedMwssQuery(g, weights, cover_cliques=covers,
-                                 avoid_cliques=avoids)
-        r = solve_constrained(q)
+        r = solve_constrained(g, weights, covers=[mask_of(c) for c in covers],
+                              avoid=mask_of(v for a in avoids for v in a))
         assert r.proven_optimal
         expect = constrained_brute(g, weights, covers, avoids)
         if expect is None:
@@ -184,24 +177,18 @@ def test_constrained_matches_enumeration_oracle():
 def test_constrained_keeps_nonpositive_cover_members():
     # path 0-1-2; cover {1} has weight 0, and the optimum must still pick it
     g = Graph(3, [(0, 1), (1, 2)])
-    q = ConstrainedMwssQuery(g, [5, 0, 5], cover_cliques=[(1,)])
-    r = solve_constrained(q)
+    r = solve_constrained(g, [5, 0, 5], covers=[mask_of((1,))])
     assert not r.infeasible
     assert r.best_set == (1,)
     assert r.best_value == 0
 
 
 def test_constrained_exactly_one_not_at_least_one():
-    # triangle-free square: {0,2} is stable but has two members of the cover
-    # edge-pair {0,2}? use explicit situation: cover clique (0,1), graph with
-    # 0-1 edge only; stable sets can hold at most one of them anyway, so use a
-    # cover on a false pair via reference to force the distinction.
+    # edges 0-1 and 2-3 only, cover {0, 2}, which is no clique of g: {0, 2}
+    # is stable but holds two members of the cover, so the best set takes one
+    # of the pair plus one vertex of the other edge
     g = Graph(4, [(0, 1), (2, 3)])
-    ref = g.with_edges([(0, 2)])
-    q = ConstrainedMwssQuery(g, [1, 1, 1, 1], cover_cliques=[(0, 2)], reference=ref)
-    r = solve_constrained(q)
-    # {0, 2} itself is stable in g but violates exactly-one; best takes one of
-    # the pair plus one vertex from the other edge
+    r = solve_constrained(g, [1, 1, 1, 1], covers=[mask_of((0, 2))])
     assert r.best_value == 2
     assert len(set(r.best_set) & {0, 2}) == 1
 
@@ -229,8 +216,7 @@ def test_matches_networkx_max_weight_clique():
         if trial % 2:
             banned = rng.randrange(n)
             h.remove_node(banned)
-            r = solve_constrained(ConstrainedMwssQuery(
-                g, weights, avoid_cliques=[(banned,)]))
+            r = solve_constrained(g, weights, avoid=1 << banned)
             assert banned not in r.best_set
         else:
             r = max_weight_stable_set(g, weights)
@@ -245,23 +231,31 @@ def test_constrained_with_covers_matches_brute_force():
     # Every query has at least one cover, and cover members often carry a
     # zero or negative weight, so the search has to branch on vertices that
     # its bound never counts. A bound that stopped early while a cover was
-    # still open once gave wrong optima here.
+    # still open once gave wrong optima here. About a third of the covers
+    # and avoids are arbitrary vertex sets rather than cliques of g, as the
+    # strengthened lift's covers are cliques of a projected graph.
     rng = random.Random(5150)
     outcomes = set()
+    nonclique = 0
     for trial in range(400):
         n = rng.randint(4, 13)
         g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), seed=11000 + trial)
         weights = [rng.randint(-3, 6) for _ in range(n)]
-        covers = [grow_clique(g, rng.randrange(n), rng)
-                  for _ in range(rng.randint(1, 3))]
+
+        def side_set():
+            if rng.random() < 1 / 3:  # one to four vertices, edges ignored
+                return tuple(sorted(rng.sample(range(n), rng.randint(1, 4))))
+            return grow_clique(g, rng.randrange(n), rng)
+
+        covers = [side_set() for _ in range(rng.randint(1, 3))]
         for c in covers:
             for v in c:
                 if rng.random() < 0.5:
                     weights[v] = rng.choice([0, 0, -1, -2])
-        avoids = [grow_clique(g, rng.randrange(n), rng)
-                  for _ in range(rng.randint(0, 1))]
-        r = solve_constrained(ConstrainedMwssQuery(
-            g, weights, cover_cliques=covers, avoid_cliques=avoids))
+        avoids = [side_set() for _ in range(rng.randint(0, 1))]
+        nonclique += sum(not g.is_clique(w) for w in covers + avoids)
+        r = solve_constrained(g, weights, covers=[mask_of(c) for c in covers],
+                              avoid=mask_of(v for a in avoids for v in a))
         expect = constrained_brute(g, weights, covers, avoids)
         assert r.proven_optimal, trial
         assert r.infeasible == (expect is None), trial
@@ -269,8 +263,11 @@ def test_constrained_with_covers_matches_brute_force():
         if expect is not None:
             assert g.is_stable(r.best_set)
             assert sum(weights[v] for v in r.best_set) == expect
+            for c in covers:
+                assert len(set(r.best_set) & set(c)) == 1, trial
         outcomes.add(expect is None)
     assert outcomes == {True, False}
+    assert nonclique >= 100
 
 
 def reference_partition_bound(adj, order, weights, rem):

@@ -23,6 +23,7 @@ from conftest import (
     EXAMPLE8_W2,
     EXAMPLE8_W3,
     random_maximal_clique,
+    random_trace,
 )
 
 
@@ -73,7 +74,7 @@ def test_projection_matches_oracle_on_random_graphs():
             proj, fe = clique_project(g, w)
             assert fe == project_pair_scan(g, w)
             assert set(fe) == project_oracle(g, w)
-            assert proj == g.with_edges(fe)
+            assert proj == Graph(g.n, list(g.edges()) + list(fe))
             checked += 1
             larger += len(w) >= 3
     assert checked == 60
@@ -134,8 +135,9 @@ def test_trace_construction_and_graph_at(example8):
     # the seed clique of the walk only becomes a clique after two steps
     assert not example8.is_clique((1, 4, 5, 6, 7))
     assert trace.graph_at(2).is_clique((1, 4, 5, 6, 7))
-    with pytest.raises(IndexError):
-        trace.graph_at(4)
+    for t in (-1, 4):
+        with pytest.raises(IndexError):
+            trace.graph_at(t)
 
 
 def test_trace_prefix(example8):
@@ -161,6 +163,38 @@ def test_extend_trace_rejects_bad_steps(example8):
         extend_trace(trace, EXAMPLE8_W1)  # repeated clique
     with pytest.raises(ValueError):
         extend_trace(trace, tuple(reversed(EXAMPLE8_W1)))  # same set, reordered
+
+
+def test_trace_stores_every_level():
+    # the stored graphs are the base plus the false edges so far, the masks
+    # are the cliques', and a prefix shares the graphs it keeps
+    rng = random.Random(31)
+    steps = 0
+    for trial in range(40):
+        g = random_graph(rng.randint(4, 11), rng.choice([0.3, 0.5, 0.7]),
+                         seed=4800 + trial)
+        trace = random_trace(g, rng, max_steps=4)
+        edges = list(g.edges())
+        for t in range(trace.r + 1):
+            assert trace.graph_at(t) == Graph(g.n, edges)
+            if t < trace.r:
+                step = trace.steps[t]
+                assert trace.cliques[t] == step.clique
+                assert trace.masks[t] == mask_of(trace.cliques[t])
+                edges += step.false_edges
+        assert trace.final_graph is trace.graph_at(trace.r)
+        for t in range(trace.r + 1):
+            head = trace.prefix(t)
+            assert head.r == t
+            assert head.cliques == trace.cliques[:t]
+            assert head.masks == trace.masks[:t]
+            for level in range(t + 1):
+                assert head.graph_at(level) is trace.graph_at(level)
+        for w in trace.cliques:
+            with pytest.raises(ValueError, match="already used"):
+                extend_trace(trace, tuple(reversed(w)))
+        steps += trace.r
+    assert steps >= 40
 
 
 def test_empty_false_edge_steps_are_allowed(example8):
