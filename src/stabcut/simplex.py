@@ -65,6 +65,9 @@ class LpResult:
     # opaque warm start token for a follow-up solve over the same columns
     # and a row superset, as the cutting plane loop produces
     start: tuple = None
+    # the iterations that moved a nonbasic column to its other bound
+    # without a pivot; they are part of iterations
+    flips: int = 0
 
 
 def lp_solve(n: int, rows, objective=None, max_iterations=None,
@@ -81,6 +84,13 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     of this call's rows (same n, same objective). The old basis stays dual
     feasible after rows are appended, so reoptimization runs a few dual
     steps instead of a fresh walk. A token that does not fit is ignored.
+
+    The reduced costs, a pivot row and an entering column are computed at
+    most once per basis. A bound flip keeps the basis, so the steps after
+    it pay only for a row or column not yet computed for it, and otherwise
+    cost O(n + m). flips counts the flips among the iterations. The cap
+    bounds every iteration, dual repair steps included, and a call stopped
+    by it hands back the basis it reached as its start token.
 
     Raises ValueError on non-finite input, on a negative right side, and on
     a nonzero coefficient below PIVOT_TOL, or 0 by underflow, once its row
@@ -155,7 +165,37 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         max_iterations = 2000 + 200 * total
     since_refactor = 0
     iterations = 0
+    flips = 0
     status = "stalled"
+    # the basis, set by install: the basic variable of each row as an index
+    # array, its inverse, which variables are basic, which nonbasic ones
+    # rest at their upper bound, and the basic values
+    basis = binv = is_basic = at_upper = xb = None
+
+    # products of the current basis: the reduced costs under "d", pivot
+    # rows under ("row", r) and entering columns under ("col", j). Bound
+    # flips leave the basis alone and reuse them: in dual_repair a flip
+    # often pushes another row out of bounds, which picks the same column
+    # back. Every change of basis or of its inverse clears them.
+    priced = {}
+
+    def reduced_costs():
+        if "d" not in priced:
+            y = c[basis] @ binv
+            priced["d"] = c - y @ acols
+        return priced["d"]
+
+    def pivot_row(r):
+        key = ("row", r)
+        if key not in priced:
+            priced[key] = binv[r] @ acols
+        return priced[key]
+
+    def column(j):
+        key = ("col", j)
+        if key not in priced:
+            priced[key] = binv @ acols[:, j]
+        return priced[key]
 
     def basic_solution(rhs):
         # values of the basic variables with every nonbasic one at its bound
@@ -172,6 +212,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         # by step along w; the leaving variable rests at the bound named by
         # leaving_at_upper.
         nonlocal xb
+        priced.clear()
         xb -= step * w
         leaving = basis[r]
         is_basic[leaving] = False
@@ -193,18 +234,26 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
 
     def refactor():
         nonlocal binv, xb
+        priced.clear()
         binv = np.linalg.inv(acols[:, basis])
         xb = basic_solution(b_solve)
 
+    def install(new_basis, new_binv, new_at_upper):
+        # a basis given whole: its variables, inverse and nonbasic bounds
+        nonlocal basis, is_basic, at_upper, binv
+        priced.clear()
+        basis = new_basis
+        binv = new_binv
+        is_basic = np.zeros(total, dtype=bool)
+        is_basic[basis] = True
+        at_upper = new_at_upper
+        at_upper[is_basic] = False
+
     def reset_to_slacks(with_nudge):
-        nonlocal basis, is_basic, at_upper, binv, xb, nudged, b_solve
+        nonlocal nudged, b_solve, xb
         nudged = with_nudge
         b_solve = b + nudge if nudged else b
-        basis = list(range(n, total))
-        is_basic = np.zeros(total, dtype=bool)
-        is_basic[n:] = True
-        at_upper = np.zeros(total, dtype=bool)
-        binv = np.eye(m)
+        install(np.arange(n, total), np.eye(m), np.zeros(total, dtype=bool))
         xb = b_solve.copy()
 
     # the walk starts from the all-slack basis with the nudge in place
@@ -217,9 +266,12 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         # column that keeps every reduced cost on its side, the usual
         # bounded dual ratio test. Used after dropping the rhs nudge and
         # after installing a warm basis, where only the appended rows are
-        # out of bounds and a short run of pivots suffices.
-        nonlocal xb, iterations
+        # out of bounds and a short run of pivots suffices. Stops at the
+        # iteration cap, where the caller keeps the basis it reached.
+        nonlocal xb, iterations, flips
         for _ in range(m + 200):
+            if iterations >= max_iterations:
+                return False
             iterations += 1
             violation = bound_violation(xb)
             r = int(np.argmax(violation))
@@ -227,9 +279,8 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                 return True
             # row r breaks exactly one of its bounds, as lower <= upper
             below = bool(xb[r] < lower[basis[r]])
-            y = c[basis] @ binv
-            d = c - y @ acols
-            alpha = binv[r] @ acols
+            d = reduced_costs()
+            alpha = pivot_row(r)
             if below:
                 ok = ((alpha < -PIVOT_TOL) & ~at_upper) | \
                      ((alpha > PIVOT_TOL) & at_upper)
@@ -243,7 +294,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
             near = cand[ratios <= float(ratios.min()) + 1e-12]
             j = int(near[int(np.argmax(np.abs(alpha[near])))])
             sigma = -1.0 if at_upper[j] else 1.0
-            w = binv @ acols[:, j]
+            w = column(j)
             bound_r = lower[basis[r]] if below else upper[basis[r]]
             t = (xb[r] - bound_r) / (sigma * w[r])
             span = upper[j] - lower[j]
@@ -252,6 +303,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                 # it and pick the row's entering column again
                 at_upper[j] = not at_upper[j]
                 xb -= sigma * span * w
+                flips += 1
                 continue
             pivot(r, j, w, sigma * t, not below)
         return False
@@ -262,7 +314,8 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         if (0 <= m_old <= m and len(old_basis) == m_old
                 and len(set(old_basis)) == m_old
                 and all(0 <= v < n + m_old for v in old_basis)):
-            cand = list(old_basis) + list(range(n + m_old, total))
+            cand = np.array(list(old_basis) + list(range(n + m_old, total)),
+                            dtype=np.intp)
             try:
                 inv = np.linalg.inv(acols[:, cand])
             except np.linalg.LinAlgError:
@@ -274,22 +327,17 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                 # steps. A failed repair restarts from slacks with the nudge.
                 nudged = False
                 b_solve = b
-                basis = cand
-                binv = inv
-                is_basic = np.zeros(total, dtype=bool)
-                is_basic[basis] = True
                 at_upper = np.zeros(total, dtype=bool)
                 at_upper[:n + m_old] = np.asarray(old_at_upper, dtype=bool)
-                at_upper[is_basic] = False
+                install(cand, inv, at_upper)
                 xb = basic_solution(b_solve)
-                if not dual_repair():
+                if not dual_repair() and iterations < max_iterations:
                     reset_to_slacks(True)
                 since_refactor = 1
 
     while iterations < max_iterations:
         iterations += 1
-        y = c[basis] @ binv
-        d = c - y @ acols
+        d = reduced_costs()
         enter_lower = ~is_basic & ~at_upper & (d > DEFAULT_TOL)
         enter_upper = ~is_basic & at_upper & (d < -DEFAULT_TOL)
         candidates = np.where(enter_lower | enter_upper)[0]
@@ -311,7 +359,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                 nudged = False
                 b_solve = b
                 refactor()
-                if not dual_repair():
+                if not dual_repair() and iterations < max_iterations:
                     reset_to_slacks(False)
                 since_refactor = 1
                 continue
@@ -320,7 +368,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
             break
         j = int(candidates[int(np.argmax(np.abs(d[candidates])))])
         sigma = -1.0 if at_upper[j] else 1.0
-        w = binv @ acols[:, j]
+        w = column(j)
 
         t_best, leave = _ratio_test(w, sigma, xb, lower[basis], upper[basis],
                                     upper[j] - lower[j])
@@ -331,6 +379,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         if leave is None:
             at_upper[j] = not at_upper[j]
             xb -= sigma * t * w
+            flips += 1
         else:
             pivot(leave, j, w, sigma * t, sigma * w[leave] < 0)
             since_refactor += 1
@@ -343,4 +392,5 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     x = np.clip(vals[:n], 0.0, 1.0)
     value = float(np.dot(c[:n], x))
     return LpResult(value, [float(v) for v in x], status, iterations,
-                    start=(list(basis), [bool(v) for v in at_upper]))
+                    start=(basis.tolist(), [bool(v) for v in at_upper]),
+                    flips=flips)

@@ -7,7 +7,9 @@ import random
 import numpy as np
 import pytest
 
+from reference_simplex import reference_lp_solve
 from stabcut import engine
+from stabcut.benchmarks import BENCHMARKS
 from stabcut.graph import random_graph
 from stabcut.simplex import PIVOT_TOL, LpResult, _ratio_test, lp_solve
 
@@ -236,12 +238,8 @@ def test_ratio_test_matches_scalar_loop_on_ties():
     assert tied >= 50
 
 
-@pytest.fixture(scope="module")
-def warm_chain():
-    """The LP calls of a 12-round basic engine run: every call after the
-    first passes the previous call's token and appends rows. Its warm
-    re-solves make 328 bound flips in dual_repair, and one of the repairs
-    fails and falls back to the slack basis."""
+def record_engine_lps(g, procedure, max_rounds):
+    """(n, rows, warm, result) of every LP call of an engine run on g."""
     calls = []
 
     def recording(n, rows, warm=None):
@@ -251,9 +249,18 @@ def warm_chain():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "lp_solve", recording)
-        g = random_graph(40, 0.5, seed=2).complement()
-        engine.cutting_plane_run(g, procedure="basic", max_rounds=12)
+        engine.cutting_plane_run(g, procedure=procedure, max_rounds=max_rounds)
     return calls
+
+
+@pytest.fixture(scope="module")
+def warm_chain():
+    """The LP calls of a 12-round basic engine run: every call after the
+    first passes the previous call's token and appends rows. Its warm
+    re-solves make 328 bound flips in dual_repair, and one of the repairs
+    fails and falls back to the slack basis."""
+    return record_engine_lps(random_graph(40, 0.5, seed=2).complement(),
+                             "basic", 12)
 
 
 def test_warm_starts_match_cold_solves(warm_chain):
@@ -293,14 +300,9 @@ def assert_matches_highs(linprog, n, rows, objective, res):
     assert (a @ x <= b + 1e-8).all()
 
 
-def test_lp_matches_highs(warm_chain):
-    # Three kinds of input, checked against HiGHS: packing LPs of the
-    # engine's size, the engine's warm-started chain (one of whose warm
-    # repairs fails and restarts from slacks) and small LPs with negative
-    # coefficients and near-parallel rows. 9 of those 400 solves end on a
-    # nudged optimum that misses the exact right side, drop the nudge and
-    # finish in dual_repair (counted with an instrumented copy).
-    linprog = pytest.importorskip("scipy.optimize").linprog
+def seeded_lps():
+    """(n, rows, objective) of two kinds: packing LPs of the engine's size,
+    and small LPs with negative coefficients and near-parallel rows."""
     rng = random.Random(8)
     for m in (50, 100, 150, 200, 250, 300):
         n = rng.randint(30, 60)
@@ -313,11 +315,7 @@ def test_lp_matches_highs(warm_chain):
                 rows.append(({v: rng.randint(1, 4) for v in support},
                              rng.randint(2, 6)))
         objective = [rng.choice([1.0, 1.0, 0.5, 2.0]) for _ in range(n)]
-        assert_matches_highs(linprog, n, rows, objective,
-                             lp_solve(n, rows, objective=objective))
-
-    for n, rows, _, res in warm_chain:
-        assert_matches_highs(linprog, n, rows, [1.0] * n, res)
+        yield n, rows, objective
 
     rng = random.Random(11)
     for _ in range(400):
@@ -328,8 +326,84 @@ def test_lp_matches_highs(warm_chain):
                       for v in range(n) if rng.random() < 0.7}
             rows.append((coeffs, rng.choice([0.0, 0.5, 1.0, 3.0, 20.0])))
         objective = [rng.choice([-1.0, 1.0, 2.0, 0.5]) for _ in range(n)]
+        yield n, rows, objective
+
+
+def test_lp_matches_highs(warm_chain):
+    # The seeded LPs and the engine's warm-started chain (one of whose warm
+    # repairs fails and restarts from slacks), checked against HiGHS. 9 of
+    # the 400 small seeded solves end on a nudged optimum that misses the
+    # exact right side, drop the nudge and finish in dual_repair (counted
+    # with an instrumented copy).
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    for n, rows, objective in seeded_lps():
         assert_matches_highs(linprog, n, rows, objective,
                              lp_solve(n, rows, objective=objective))
+    for n, rows, _, res in warm_chain:
+        assert_matches_highs(linprog, n, rows, [1.0] * n, res)
+
+
+def same_result(res, ref):
+    return ((res.value, res.x, res.status, res.iterations, res.start)
+            == (ref.value, ref.x, ref.status, ref.iterations, ref.start))
+
+
+def test_reused_products_change_no_bit(warm_chain):
+    # lp_solve computes its reduced costs, pivot rows and entering columns
+    # once per basis; the reference recomputes them at every step, bound
+    # flips included. Same operands, same products: the results must match
+    # to the last bit, on the warm chain (its flips and its failed repair)
+    # and on the seeded LPs.
+    for n, rows, warm, res in warm_chain:
+        assert same_result(res, reference_lp_solve(n, rows, warm=warm))
+    for n, rows, objective in seeded_lps():
+        assert same_result(lp_solve(n, rows, objective=objective),
+                           reference_lp_solve(n, rows, objective=objective))
+
+
+@pytest.mark.slow
+def test_reused_products_change_no_bit_on_hamming_rounds():
+    # every LP of the benchmark's hamming6-4 basic 14-round run, whose warm
+    # repairs make thousands of bound flips
+    calls = record_engine_lps(BENCHMARKS["hamming6-4"]().complement(),
+                              "basic", 14)
+    assert sum(res.flips for *_, res in calls) > 1000
+    for n, rows, warm, res in calls:
+        assert same_result(res, reference_lp_solve(n, rows, warm=warm))
+
+
+def test_flips_are_counted(warm_chain):
+    results = [res for *_, res in warm_chain]
+    assert sum(res.flips for res in results) >= 328
+    assert all(0 <= res.flips < res.iterations for res in results)
+
+
+def test_iteration_cap_bounds_warm_repairs(warm_chain):
+    # Warm calls spend their first iterations in dual_repair, and cold ones
+    # may drop the nudge and repair; those steps count against the cap like
+    # the primal ones. A cap the solve does not reach changes nothing, and
+    # one it reaches ends the call stalled at exactly the cap. A warm call
+    # stopped by the cap hands back the basis it reached: the warm basis
+    # with at most one entry changed per iteration, not the slack basis.
+    stopped = 0
+    for n, rows, warm, res in warm_chain:
+        for start, full in ((None, lp_solve(n, rows)), (warm, res)):
+            for cap in (1, 3, 10, 50):
+                capped = lp_solve(n, rows, max_iterations=cap, warm=start)
+                if full.iterations <= cap:
+                    assert capped == full
+                    continue
+                assert capped.status == "stalled"
+                assert capped.iterations == cap
+                if start is not None:
+                    stopped += 1
+                    m_old = len(warm[1]) - n
+                    installed = list(warm[0]) + list(range(n + m_old,
+                                                           n + len(rows)))
+                    changed = sum(u != v for u, v in
+                                  zip(capped.start[0], installed))
+                    assert changed <= cap
+    assert stopped > 10
 
 
 def test_tiny_coefficients_are_rejected_not_misread():
