@@ -39,15 +39,16 @@ import random
 import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 from .benchmarks import BENCHMARKS, KNOWN_OPTIMA
 from .engine import cutting_plane_run
 from .facets import (
     ORACLE_LIMIT,
     _dimension_pair,
+    condition_report,
     face_dimension,
     facet_report,
-    condition_report,
     find_witnesses,
     witness_from_trace,
 )
@@ -148,24 +149,20 @@ def _known_alpha(g: Graph, complement: bool):
 
 
 def _build_params(args) -> SeparationParams:
-    overrides = {}
-    for field, attr in (("min_violation", "min_violation"),
-                        ("min_depth", "min_depth"),
-                        ("max_depth", "max_depth"),
-                        ("max_iterations", "max_iter"),
-                        ("max_ncuts", "max_ncuts"),
-                        ("tomita_period", "tomita_period")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field] = value
+    """SeparationParams from the flags given, whose dests are field names."""
+    overrides = {f.name: getattr(args, f.name) for f in fields(SeparationParams)
+                 if getattr(args, f.name) is not None}
     return SeparationParams(**overrides)
 
 
 def _bound_job(job):
+    """One cutting_plane_run; an exception comes back as the result."""
     g, procedure, params, time_limit, seed = job
-    rep = cutting_plane_run(g, params=params, procedure=procedure,
-                            time_limit=time_limit, seed=seed)
-    return rep
+    try:
+        return cutting_plane_run(g, params=params, procedure=procedure,
+                                 time_limit=time_limit, seed=seed)
+    except Exception as exc:
+        return exc
 
 
 def _bound_row(g, alpha, procedure, rep, with_times):
@@ -179,9 +176,8 @@ def _bound_row(g, alpha, procedure, rep, with_times):
 
 
 def _error_row(name, message):
-    row = [name, "", "", "", "", "", "", "", "", "", "", "",
-           "error: %s" % message, ""]
-    return row
+    return [name, "", "", "", "", "", "", "", "", "", "", "",
+            "error: %s" % message, ""]
 
 
 def _emit(rows, fmt, header=COLUMNS):
@@ -218,8 +214,7 @@ def cmd_bound(args) -> int:
             meta.append((name, g, alpha, None))
 
     rows, ok = [], True
-    results = _run_jobs(_bound_job, jobs, args.jobs)
-    it = iter(results)
+    it = iter(_run_jobs(jobs, args.jobs))
     for name, g, alpha, error in meta:
         if error is not None:
             rows.append(_error_row(name, error))
@@ -238,26 +233,12 @@ def cmd_bound(args) -> int:
     return 0 if ok else 1
 
 
-def _run_jobs(fn, jobs, workers):
-    """Run jobs in order, trapping per-job exceptions as results."""
-    call = _GuardedCall(fn)
+def _run_jobs(jobs, workers):
+    """_bound_job over jobs, in order, on up to workers processes."""
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(call, jobs))
-    return [call(job) for job in jobs]
-
-
-class _GuardedCall:
-    """Picklable wrapper so worker exceptions come back as values."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, job):
-        try:
-            return self.fn(job)
-        except Exception as exc:
-            return exc
+            return list(pool.map(_bound_job, jobs))
+    return [_bound_job(job) for job in jobs]
 
 
 def cmd_separate(args) -> int:
@@ -347,28 +328,26 @@ def cmd_facet_check(args) -> int:
     with open(args.trace) as fh:
         trace = trace_from_json(fh.read())
     seed = _parse_vertices(args.lift_seed) if args.lift_seed else None
-    witnesses = []
     if args.witness:
         with open(args.witness) as fh:
             payload = json.load(fh)
-        witnesses.append(witness_from_trace(
-            trace, [tuple(c) for c in payload["classes"]],
-            tuple(payload["representative"])
-            if payload.get("representative") else None))
+        witness = witness_from_trace(trace, payload["classes"],
+                                     payload.get("representative") or None)
+        found = [(witness, condition_report(trace, witness, seed=seed))]
     elif args.find:
-        witnesses = find_witnesses(trace, seed=seed)
-        print("found %d witnesses" % len(witnesses), file=sys.stderr)
+        found = find_witnesses(trace, seed=seed)
+        print("found %d witnesses" % len(found), file=sys.stderr)
     else:
         raise SystemExit("facet-check needs a witness file or --find")
 
     reports = []
-    for witness in witnesses:
+    for witness, conditions in found:
         entry = witness.to_payload()
-        entry["conditions"] = condition_report(trace, witness, seed=seed)
-        entry["predicted_facet"] = all(entry["conditions"].values())
+        entry["conditions"] = conditions
+        entry["predicted_facet"] = all(conditions.values())
         if trace.base.n <= ORACLE_LIMIT and seed is not None:
             cut = strengthened_lift(trace, seed=seed)
-            rep = facet_report(trace, witness, cut, trace.r, seed=seed)
+            rep = facet_report(trace, witness, cut, trace.r, conditions)
             entry["cut"] = cut.inequality.to_text()
             entry["dim_face"] = rep.dim_face
             entry["dim_tight"] = rep.dim_tight
@@ -396,69 +375,55 @@ def cmd_facet_check(args) -> int:
     return 0
 
 
-def _bench_job(job):
-    n, density, rep_seed, run_seed, procedure, params, time_limit = job
-    g = random_graph(n, density, seed=rep_seed)
-    report = cutting_plane_run(g, params=params, procedure=procedure,
-                               time_limit=time_limit, seed=run_seed)
-    return g.density(), _known_alpha(g, False), report
-
-
 def cmd_bench(args) -> int:
     procs = _parse_procs(args.proc)
     params = _build_params(args)
     sizes = [int(s) for s in args.sizes.split(",")]
+    if min(sizes) < 0:
+        raise SystemExit("graph sizes must be nonnegative, got %s" % args.sizes)
     densities = [float(d) for d in args.densities.split(",")]
-    jobs, keys = [], []
+    cells, jobs = [], []
     for n in sizes:
         for d in densities:
+            names = ["G(%d,%g)#%d" % (n, d, rep) for rep in range(args.reps)]
+            graphs = [random_graph(n, d, seed=_derived_seed(args.seed, name))
+                      for name in names]
+            alphas = [_known_alpha(g, False) for g in graphs]
+            cells.append((n, d, graphs, alphas))
             for procedure in procs:
-                for rep in range(args.reps):
-                    cell = "G(%d,%g)#%d" % (n, d, rep)
-                    rep_seed = _derived_seed(args.seed, cell)
-                    run_seed = _derived_seed(args.seed,
-                                             cell + ":" + procedure)
-                    jobs.append((n, d, rep_seed, run_seed, procedure,
-                                 params, args.time_limit))
-                    keys.append((n, d, procedure))
+                for name, g in zip(names, graphs):
+                    seed = _derived_seed(args.seed, name + ":" + procedure)
+                    jobs.append((g, procedure, params, args.time_limit, seed))
 
-    results = _run_jobs(_bench_job, jobs, args.jobs)
+    results = iter(_run_jobs(jobs, args.jobs))
     rows, ok = [], True
-    groups = {}
-    for key, res in zip(keys, results):
-        groups.setdefault(key, []).append(res)
-    for n in sizes:
-        for d in densities:
-            for procedure in procs:
-                batch = groups[(n, d, procedure)]
-                errors = [r for r in batch if isinstance(r, Exception)]
-                if errors:
-                    rows.append(_error_row("G(%d,%g)" % (n, d),
-                                           str(errors[0])))
-                    ok = False
-                    continue
-                dens = [b[0] for b in batch]
-                alphas = [b[1] for b in batch]
-                reps = [b[2] for b in batch]
-                statuses = {r.status for r in reps}
-                status = statuses.pop() if len(statuses) == 1 else "mixed"
-                if not all(r.status in COMPLETED for r in reps):
-                    ok = False
-                alpha = ("%.2f" % (sum(alphas) / len(alphas))
-                         if all(a is not None for a in alphas) else "")
-                mean = lambda vals: sum(vals) / len(vals)
-                counts = lambda kind: mean([r.cut_counts.get(kind, 0)
-                                            for r in reps])
-                rows.append([
-                    "G(%d,%g)" % (n, d), str(n), "%.4f" % mean(dens), alpha,
-                    procedure, str(len(reps)),
-                    "%.2f" % mean([r.lower_bound for r in reps]),
-                    "%.6f" % mean([r.z0 for r in reps]),
-                    "%.6f" % mean([r.bound for r in reps]),
-                    "%.2f" % counts("clique"), "%.2f" % counts("rank"),
-                    "%.2f" % counts("weighted"), status,
-                    "%.2f" % mean([r.wall_time for r in reps])
-                    if args.with_times else ""])
+    mean = lambda vals: sum(vals) / len(vals)
+    for n, d, graphs, alphas in cells:
+        for procedure in procs:
+            reps = [next(results) for _ in graphs]
+            errors = [r for r in reps if isinstance(r, Exception)]
+            if errors:
+                rows.append(_error_row("G(%d,%g)" % (n, d), str(errors[0])))
+                ok = False
+                continue
+            statuses = {r.status for r in reps}
+            status = statuses.pop() if len(statuses) == 1 else "mixed"
+            if not all(r.status in COMPLETED for r in reps):
+                ok = False
+            alpha = "%.2f" % mean(alphas) if None not in alphas else ""
+            counts = lambda kind: mean([r.cut_counts.get(kind, 0)
+                                        for r in reps])
+            rows.append([
+                "G(%d,%g)" % (n, d), str(n),
+                "%.4f" % mean([g.density() for g in graphs]), alpha,
+                procedure, str(len(reps)),
+                "%.2f" % mean([r.lower_bound for r in reps]),
+                "%.6f" % mean([r.z0 for r in reps]),
+                "%.6f" % mean([r.bound for r in reps]),
+                "%.2f" % counts("clique"), "%.2f" % counts("rank"),
+                "%.2f" % counts("weighted"), status,
+                "%.2f" % mean([r.wall_time for r in reps])
+                if args.with_times else ""])
     _emit(rows, args.format)
     return 0 if ok else 1
 
@@ -470,6 +435,15 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _time_limit(text: str) -> float:
+    # inf means no limit; NaN fails the test, since no elapsed time would
+    # ever compare greater than it
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError("must be above 0, got %s" % text)
+    return value
+
+
 def _add_param_flags(sub):
     sub.add_argument("--min-violation", type=float, default=None,
                      help="violation threshold for keeping a cut")
@@ -477,7 +451,8 @@ def _add_param_flags(sub):
                      help="projections to perform before stopping the walk")
     sub.add_argument("--max-depth", type=int, default=None,
                      help="hard cap on projections per walk")
-    sub.add_argument("--max-iter", type=_positive_int, default=None,
+    sub.add_argument("--max-iter", dest="max_iterations",
+                     type=_positive_int, default=None,
                      help="separation iterations per call")
     sub.add_argument("--max-ncuts", type=_positive_int, default=None,
                      help="stop once this many cuts are collected")
@@ -490,7 +465,8 @@ def _add_common(sub, complement_default):
     sub.add_argument("--format", choices=["csv", "json", "text"],
                      default="csv")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--time-limit", type=float, default=120.0)
+    sub.add_argument("--time-limit", type=_time_limit, default=120.0,
+                     help="seconds; inf for no limit")
     if complement_default:
         sub.add_argument("--no-complement", dest="complement",
                          action="store_false", default=True,
@@ -513,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--proc", default="c,b,s",
                    help="comma list from c (clique cuts only), b (basic "
                         "lifting), s (strengthened lifting)")
-    b.add_argument("--jobs", type=int, default=1)
+    b.add_argument("--jobs", type=_positive_int, default=1)
     b.add_argument("--with-times", action="store_true")
     _add_common(b, complement_default=True)
     _add_param_flags(b)
@@ -556,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--reps", type=_positive_int, default=5,
                    help="instances per cell")
     r.add_argument("--proc", default="c,b,s")
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--jobs", type=_positive_int, default=1)
     r.add_argument("--with-times", action="store_true")
     _add_common(r, complement_default=False)
     _add_param_flags(r)

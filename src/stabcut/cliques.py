@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from functools import partial
+
+from .graph import Graph, bits, mask_of
 
 
 def _tiebreak(n, rng=None):
@@ -21,24 +23,19 @@ def point_weight(point, vertices) -> float:
     return sum(map(point.__getitem__, vertices))
 
 
-def grow_clique(g: Graph, point, seed: int, covered: int = 0,
-                prefer_uncovered: bool = False, tie=None):
-    """Maximal clique grown greedily from seed. Candidates are taken by
-    descending point value; with prefer_uncovered, vertices not yet covered
-    come first regardless of value."""
-    if tie is None:
-        tie = range(g.n)
-    clique = [seed]
-    cand = g.adj[seed]
-    while cand:
-        if prefer_uncovered:
-            v = min(bits(cand),
-                    key=lambda u: (1 if covered >> u & 1 else 0, -point[u], tie[u]))
-        else:
-            v = min(bits(cand), key=lambda u: (-point[u], tie[u]))
-        clique.append(v)
+def grow_clique(g: Graph, start, key):
+    """Maximal clique, as a sorted tuple, grown greedily from the clique
+    start: add the common neighbor v of least key(members, v), where members
+    is the bitmask of the clique so far, until none is left."""
+    members = mask_of(start)
+    cand = g.full_mask
+    for v in start:
         cand &= g.adj[v]
-    return tuple(sorted(clique))
+    while cand:
+        v = min(bits(cand), key=partial(key, members))
+        members |= 1 << v
+        cand &= g.adj[v]
+    return tuple(bits(members))
 
 
 def enumerate_cliques_bounded(g: Graph, point, limit: int = 1000):

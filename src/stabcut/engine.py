@@ -11,8 +11,8 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .cliques import rounding_lower_bound
-from .graph import Graph, bits
+from .cliques import grow_clique, rounding_lower_bound
+from .graph import Graph, mask_of
 from .lifting import LiftingAborted, check_validity, clique_inequality
 from .separation import SeparationParams, build_clique_pool, sep_for_stab
 from .simplex import LpStalled, lp_solve
@@ -31,21 +31,15 @@ def edge_clique_cover(g: Graph):
     """
     rem = list(g.adj)
     cover = []
+    closes_most = lambda members, x: (-(rem[x] & members).bit_count(), x)
     for u in range(g.n):
         while rem[u]:
             v = (rem[u] & -rem[u]).bit_length() - 1
-            clique = [u, v]
-            cmask = (1 << u) | (1 << v)
-            cand = g.adj[u] & g.adj[v]
-            while cand:
-                nxt = min(bits(cand),
-                          key=lambda x: (-(rem[x] & cmask).bit_count(), x))
-                clique.append(nxt)
-                cmask |= 1 << nxt
-                cand &= g.adj[nxt]
+            clique = grow_clique(g, (u, v), closes_most)
+            cmask = mask_of(clique)
             for a in clique:
                 rem[a] &= ~cmask
-            cover.append(tuple(sorted(clique)))
+            cover.append(clique)
     return cover
 
 

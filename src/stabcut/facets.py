@@ -19,6 +19,8 @@ from .mwss import enumerate_stable_sets
 from .projection import ProjectionTrace
 
 ORACLE_LIMIT = 16
+# find_witnesses searches labelings of walks with cliques of at most this size
+WITNESS_MAX_K = 3
 
 
 @dataclass
@@ -399,9 +401,11 @@ class FacetReport:
 
 
 def facet_report(trace: ProjectionTrace, witness: FacetWitness,
-                 cut: LiftedCut, t: int, seed=None) -> FacetReport:
-    conditions = condition_report(trace, witness,
-                                  seed if seed is not None else cut.seed)
+                 cut: LiftedCut, t: int, conditions=None) -> FacetReport:
+    """Predicted and exact facetness of the level-t form of cut; conditions
+    default to the witness's condition_report under the cut's seed."""
+    if conditions is None:
+        conditions = condition_report(trace, witness, cut.seed)
     predicted = all(conditions.values())
     whole, tight = _dimension_pair(trace.base, trace.cliques[:t],
                                    cut.level_form(t))
@@ -410,16 +414,17 @@ def facet_report(trace: ProjectionTrace, witness: FacetWitness,
                        facet if predicted else True)
 
 
-def find_witnesses(trace: ProjectionTrace, seed=None, max_k: int = 3):
+def find_witnesses(trace: ProjectionTrace, seed=None):
     """Exhaustive witness search: all class labelings where every walk clique
-    meets every class exactly once, filtered by the full condition set."""
+    meets every class exactly once, filtered by the full condition set.
+    Returns (witness, condition_report) pairs."""
     if trace.r == 0:
         return []
     sizes = {len(w) for w in trace.cliques}
     if len(sizes) != 1:
         return []
     k = sizes.pop()
-    if k > max_k:
+    if k > WITNESS_MAX_K:
         return []
     universe = sorted({v for w in trace.cliques for v in w})
     holding = {v: [w for w in trace.cliques if v in w] for v in universe}
@@ -432,7 +437,7 @@ def find_witnesses(trace: ProjectionTrace, seed=None, max_k: int = 3):
             witness = witness_from_trace(trace, classes)
             report = condition_report(trace, witness, seed)
             if all(report.values()):
-                found.append(witness)
+                found.append((witness, report))
             return
         v = universe[idx]
         for color in range(k):

@@ -60,20 +60,6 @@ class Graph:
         g.full_mask = (1 << g.n) - 1
         return g
 
-    @classmethod
-    def from_adjacency(cls, adj, name: str = "") -> Graph:
-        n = len(adj)
-        for v in range(n):
-            if adj[v] >> n:
-                raise ValueError("adjacency mask of %d exceeds n=%d" % (v, n))
-            if adj[v] & (1 << v):
-                raise ValueError("self-loop at vertex %d" % v)
-        for v in range(n):
-            for u in bits(adj[v]):
-                if not adj[u] & (1 << v):
-                    raise ValueError("asymmetric adjacency between %d and %d" % (u, v))
-        return cls._trusted(adj, name)
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

@@ -130,26 +130,14 @@ class LiftedCut:
         return f
 
 
-def _resolve_seed(trace, seed, lift_from):
-    if lift_from is not None:
-        if seed is not None:
-            raise ValueError("pass either seed or lift_from, not both")
-        if not (0 <= lift_from < trace.r):
-            raise IndexError("lift_from %d out of range" % lift_from)
-        return trace.prefix(lift_from), trace.cliques[lift_from]
-    if seed is None:
-        raise ValueError("a seed clique is required")
-    return trace, tuple(sorted(seed))
-
-
-def _lift(trace, seed, lift_from, procedure, solve_step):
+def _lift(trace, seed, procedure, solve_step):
     """The lifting frame shared by both procedures: walk the trace backwards
     from the seed clique inequality, asking solve_step(trace, t, f, max_nodes)
     for the stable set solve that fixes the factor of step t. The solves
     share LIFT_MAX_NODES search nodes, each getting what the earlier ones
     left. An infeasible solve contributes factor 0, any other the gap to the
     right side."""
-    trace, seed = _resolve_seed(trace, seed, lift_from)
+    seed = tuple(sorted(seed))
     if not seed or not trace.final_graph.is_clique(seed):
         raise ValueError("seed %r is not a clique of the final graph" % (seed,))
     nodes_left = LIFT_MAX_NODES
@@ -181,21 +169,22 @@ def _strengthened_step(trace, t, f, max_nodes):
                              avoid=trace.masks[t - 1], max_nodes=max_nodes)
 
 
-def basic_lift(trace: ProjectionTrace, seed=None, lift_from=None) -> LiftedCut:
-    """Lift with factors solved on the projected graphs: at step t, maximize
-    f_t over stable sets of graph_at(t-1) that avoid W_t, and move by the gap
-    to the right side. Nonpositive coefficients are dropped inside the solver;
-    stable sets are closed under removal, so the optimum is unchanged."""
-    return _lift(trace, seed, lift_from, "basic", _basic_step)
+def basic_lift(trace: ProjectionTrace, seed) -> LiftedCut:
+    """Lift the inequality of seed, a clique of the final graph (W_{t+1} of a
+    longer walk lifts over trace.prefix(t)), with factors solved on the
+    projected graphs: at step t, maximize f_t over stable sets of
+    graph_at(t-1) that avoid W_t, and move by the gap to the right side.
+    Nonpositive coefficients are dropped inside the solver; stable sets are
+    closed under removal, so the optimum is unchanged."""
+    return _lift(trace, seed, "basic", _basic_step)
 
 
-def strengthened_lift(trace: ProjectionTrace, seed=None,
-                      lift_from=None) -> LiftedCut:
-    """Lift with factors solved on the base graph under side constraints: at
-    step t, maximize f_t over stable sets of the base graph that meet each of
-    W_1 .. W_{t-1} exactly once and avoid W_t. An empty feasible region
-    contributes factor 0."""
-    return _lift(trace, seed, lift_from, "strengthened", _strengthened_step)
+def strengthened_lift(trace: ProjectionTrace, seed) -> LiftedCut:
+    """Lift the inequality of seed, a clique of the final graph, with factors
+    solved on the base graph under side constraints: at step t, maximize f_t
+    over stable sets of the base graph that meet each of W_1 .. W_{t-1}
+    exactly once and avoid W_t. An empty feasible region gives factor 0."""
+    return _lift(trace, seed, "strengthened", _strengthened_step)
 
 
 def cut_to_json(cut: LiftedCut) -> str:

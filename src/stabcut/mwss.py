@@ -230,12 +230,16 @@ def solve_constrained(g: Graph, weights, covers=(), avoid=0,
                       nodes=budget.nodes)
 
 
-def enumerate_stable_sets(g: Graph, max_n: int = 25):
-    """All stable sets of g as bitmasks, empty set included. Guarded by max_n
-    because the list is exponential; meant for exact oracles on small graphs."""
-    if g.n > max_n:
+# the most vertices enumerate_stable_sets accepts
+ENUMERATE_MAX_N = 25
+
+
+def enumerate_stable_sets(g: Graph):
+    """All stable sets of g as bitmasks, empty set included. Guarded by
+    ENUMERATE_MAX_N because the list is exponential; for exact oracles."""
+    if g.n > ENUMERATE_MAX_N:
         raise ValueError("refusing to enumerate stable sets for n=%d > %d"
-                         % (g.n, max_n))
+                         % (g.n, ENUMERATE_MAX_N))
     adj = g.adj
     out = []
     stack = [(0, g.full_mask)]

@@ -9,12 +9,18 @@ cuts off the point.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import cycle
 
 from .cliques import enumerate_cliques_bounded, grow_clique, point_weight, _tiebreak
-from .graph import Graph, bits, mask_of
+from .graph import Graph, mask_of
 from .lifting import LiftingAborted, basic_lift, strengthened_lift
 from .projection import ProjectionTrace, extend_trace
+
+# maximal cliques enumerated for a replacement pick of the walk
+TOMITA_LIMIT = 1000
+# least point weight of a clique kept in the pool
+POOL_THRESHOLD = 0.65
 
 
 @dataclass
@@ -25,8 +31,6 @@ class SeparationParams:
     max_iterations: int = 50
     max_ncuts: int = 20
     tomita_period: int = 10
-    tomita_limit: int = 1000
-    pool_threshold: float = 0.65
 
 
 @dataclass
@@ -39,8 +43,8 @@ class SeparationOutcome:
 
 def build_clique_pool(g: Graph, point, params: SeparationParams = None, rng=None):
     """Greedy clique pool for a fractional point: alternate the two growth
-    orders over one shared covered mask, keep cliques heavy enough for the
-    pool, and report the ones already violated on their own.
+    orders (by value, uncovered first) over one shared covered mask, keep
+    cliques of weight POOL_THRESHOLD or more, and report the violated ones.
 
     Returns (pool, violated); cliques that miss the pool threshold still mark
     their vertices covered so the scan advances.
@@ -48,19 +52,20 @@ def build_clique_pool(g: Graph, point, params: SeparationParams = None, rng=None
     params = params or SeparationParams()
     tie = _tiebreak(g.n, rng)
     covered = 0
-    prefer_uncovered = False
+    by_value = lambda _, u: (-point[u], tie[u])
+    uncovered_first = lambda _, u: (covered >> u & 1, -point[u], tie[u])
+    keys = cycle((by_value, uncovered_first))
     pool, violated, seen = [], [], set()
     while covered != g.full_mask:
         start = min((v for v in range(g.n) if not covered >> v & 1),
                     key=lambda u: (-point[u], tie[u]))
-        w = grow_clique(g, point, start, covered, prefer_uncovered, tie)
+        w = grow_clique(g, (start,), next(keys))
         covered |= mask_of(w)
-        prefer_uncovered = not prefer_uncovered
         if w in seen:
             continue
         seen.add(w)
         weight = point_weight(point, w)
-        if weight >= params.pool_threshold:
+        if weight >= POOL_THRESHOLD:
             pool.append(w)
         if weight > 1 + params.min_violation:
             violated.append(w)
@@ -86,28 +91,21 @@ def project_with_repair(trace: ProjectionTrace, w, point):
 
 
 def _next_from_false_edges(trace, point, used):
-    """Grow the next walk clique around the heaviest fresh false edge; the
-    embedded false edge keeps the clique distinct from every earlier one."""
+    """Grow the next walk clique around the heaviest fresh false edge, unused
+    vertices first; the embedded false edge keeps the clique distinct from
+    every earlier one."""
     last = trace.steps[-1].false_edges
     if not last:
         return None
-    g = trace.final_graph
-    u, v = min(last, key=lambda e: (-(point[e[0]] + point[e[1]]), e))
-    clique = [u, v]
-    cand = g.adj[u] & g.adj[v]
-    while cand:
-        nxt = min(bits(cand),
-                  key=lambda x: (1 if x in used else 0, -point[x], x))
-        clique.append(nxt)
-        cand &= g.adj[nxt]
-    return tuple(sorted(clique))
+    edge = min(last, key=lambda e: (-(point[e[0]] + point[e[1]]), e))
+    return grow_clique(trace.final_graph, edge,
+                       lambda _, x: (x in used, -point[x], x))
 
 
 def _next_from_enumeration(trace, point, tried, params):
     """Replacement pick: enumerate maximal cliques of the current graph and
     take the heaviest one not already tried, with a hard attempt cap."""
-    cliques = enumerate_cliques_bounded(trace.final_graph, point,
-                                        params.tomita_limit)
+    cliques = enumerate_cliques_bounded(trace.final_graph, point, TOMITA_LIMIT)
     previous = {frozenset(w) for w in trace.cliques}
     for w in cliques[:4 * params.max_depth]:
         key = frozenset(w)

@@ -152,6 +152,36 @@ def test_separation_caps_must_be_positive(capsys, tmp_path):
                 assert captured.out == ""
 
 
+def test_time_limit_and_jobs_must_be_positive(capsys, tmp_path):
+    # a NaN limit never compared greater than the elapsed time, so it turned
+    # the wall-clock guard off; a negative one ended bound after its first LP;
+    # a zero or negative --jobs quietly ran serially
+    commands = {"bound": ["bound", c5_file(tmp_path), "--proc", "c"],
+                "separate": ["separate", c5_file(tmp_path), "--point",
+                             "0.5,0.5,0.5,0.5,0.5"],
+                "verify": ["verify", c5_file(tmp_path), "cut.json"],
+                "bench": ["bench", "--sizes", "8", "--densities", "0.5",
+                          "--reps", "1", "--proc", "c"]}
+    cases = [(name, "--time-limit", value, "must be above 0")
+             for name in commands for value in ("nan", "0", "-1", "-inf")]
+    cases += [(name, "--jobs", value, "must be at least 1")
+              for name in ("bound", "bench") for value in ("0", "-1")]
+    for name, flag, value, message in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(commands[name] + [flag + "=" + value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and message in captured.err
+        assert captured.out == ""
+
+
+def test_infinite_time_limit_means_no_limit(capsys):
+    code, out, _ = run_cli(capsys, "bound", "MANN_a9", "--proc", "c",
+                           "--time-limit", "inf")
+    assert code == 0
+    assert parse_csv(out)[0]["status"] == "no_more_cuts"
+
+
 def test_separate_point_length_check(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["separate", c5_file(tmp_path), "--point", "0.5,0.5"])
@@ -264,6 +294,25 @@ def test_bench_rejects_reps_below_one(capsys):
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--reps" in err and "must be at least 1" in err
+
+
+def test_bench_rejects_negative_sizes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--sizes", "8,-3", "--densities", "0.5"])
+    assert "nonnegative" in str(exc.value.code)
+    assert capsys.readouterr().out == ""
+
+
+def test_bench_worker_processes_match_serial_run(capsys):
+    # the graphs and their alpha are built in the parent and the runs sent
+    # to the workers; the rows must not depend on where the runs happen
+    args = ["bench", "--sizes", "8", "--densities", "0.5", "--reps", "2",
+            "--proc", "c,s"]
+    code, serial, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, pooled, _ = run_cli(capsys, *args, "--jobs", "2")
+    assert code == 0
+    assert pooled == serial
 
 
 def test_bench_json_round_trips(capsys):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
+import pytest
+
+from stabcut.benchmarks import BENCHMARKS
 from stabcut.cliques import (
     enumerate_cliques_bounded,
     grow_clique,
@@ -9,7 +13,15 @@ from stabcut.cliques import (
     rounding_lower_bound,
 )
 from stabcut.graph import Graph, bits, mask_of, random_graph
+from stabcut.engine import edge_clique_cover
 from stabcut.separation import build_clique_pool
+
+
+def pool_keys(point, covered):
+    """build_clique_pool's two candidate orders, with identity tie-breaks."""
+    by_value = lambda _, u: (-point[u], u)
+    uncovered_first = lambda _, u: (covered >> u & 1, -point[u], u)
+    return by_value, uncovered_first
 
 
 def test_prefer_uncovered_changes_candidate_order():
@@ -18,10 +30,10 @@ def test_prefer_uncovered_changes_candidate_order():
     # coverage order takes the uncovered 2
     g = Graph(4, [(0, 1), (1, 3), (2, 3)])
     point = [0.8, 0.9, 0.2, 0.45]
-    covered = mask_of([0, 1])
-    assert grow_clique(g, point, 3, covered, prefer_uncovered=False) == (1, 3)
-    assert grow_clique(g, point, 3, covered, prefer_uncovered=True) == (2, 3)
-    assert grow_clique(g, point, 1, 0, prefer_uncovered=True) == (0, 1)
+    by_value, uncovered_first = pool_keys(point, mask_of([0, 1]))
+    assert grow_clique(g, (3,), by_value) == (1, 3)
+    assert grow_clique(g, (3,), uncovered_first) == (2, 3)
+    assert grow_clique(g, (1,), pool_keys(point, 0)[1]) == (0, 1)
     # the pool alternates the two orders: value first, then coverage, so the
     # second clique is (2, 3) and the scan ends after two cliques
     pool, violated = build_clique_pool(g, point)
@@ -35,12 +47,53 @@ def test_grow_clique_is_maximal():
         n = rng.randint(4, 14)
         g = random_graph(n, 0.5, seed=800 + trial)
         point = [rng.random() for _ in range(n)]
-        w = grow_clique(g, point, seed=rng.randrange(n))
-        assert g.is_clique(w)
-        wset = set(w)
-        for v in range(n):
-            if v not in wset:
-                assert not all(g.has_edge(v, u) for u in w)
+        edges = list(g.edges())
+        starts = [(rng.randrange(n),)] + ([rng.choice(edges)] if edges else [])
+        for key in pool_keys(point, rng.getrandbits(n)):
+            for start in starts:
+                w = grow_clique(g, start, key)
+                assert g.is_clique(w) and set(start) <= set(w)
+                wset = set(w)
+                for v in range(n):
+                    if v not in wset:
+                        assert not all(g.has_edge(v, u) for u in w)
+
+
+# edge covers recorded before the cover, the pool and the walk shared one
+# growth routine: clique count, first clique and a digest of the whole list
+RECORDED_COVERS = {
+    "hamming6-4": (79, (0, 1, 2, 3, 4, 5, 6, 7),
+                   "0539a0a130686f7ab293e98d97bde086cf3d252bc44675a86e4d673346b79163"),
+    "c-fat200-2": (954, (0, 24, 46, 68, 90, 112, 134, 156, 178),
+                   "4372413aae0a19780cc8a57c27f871fe10a9a7e14d115b818e5ba314e7b73004"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_COVERS))
+def test_edge_clique_cover_keeps_recorded_choices(name):
+    cover = edge_clique_cover(BENCHMARKS[name]().complement())
+    count, first, digest = RECORDED_COVERS[name]
+    assert len(cover) == count
+    assert cover[0] == first
+    assert hashlib.sha256(repr(cover).encode()).hexdigest() == digest
+
+
+def test_clique_pool_keeps_recorded_choices():
+    g = random_graph(24, 0.4, seed=11)
+    rng = random.Random(5)
+    point = [rng.randint(0, 4) / 4 for _ in range(24)]
+    pool, violated = build_clique_pool(g, point)
+    assert pool == [(0, 13, 16), (1, 3, 14, 22), (3, 5, 20, 23), (6, 8, 11),
+                    (2, 13, 14, 17), (3, 4, 7, 10), (0, 7, 21, 22),
+                    (6, 12, 19), (9, 11, 20, 23), (14, 15, 18)]
+    assert violated == [w for w in pool if w not in ((6, 12, 19), (14, 15, 18))]
+    # an rng breaks the ties between equal values
+    pool, violated = build_clique_pool(g, point, rng=random.Random(3))
+    assert pool == [(3, 16, 20, 22), (2, 13, 14, 17), (0, 13, 16),
+                    (5, 11, 20, 23), (0, 7, 21, 22), (1, 4, 19),
+                    (3, 7, 10, 20, 22), (6, 12, 19), (5, 8, 11),
+                    (9, 11, 20, 23), (6, 14, 15), (2, 14, 17, 18)]
+    assert violated == [w for w in pool if w not in ((1, 4, 19), (6, 12, 19))]
 
 
 def brute_maximal_cliques(g):

@@ -198,8 +198,7 @@ def test_slack_inequality_has_empty_face(example8):
 def test_facet_report_on_example(example8_trace):
     witness = ex8_witness(example8_trace)
     cut = strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
-    report = facet_report(example8_trace, witness, cut, t=3,
-                          seed=EXAMPLE8_SEED)
+    report = facet_report(example8_trace, witness, cut, t=3)
     assert report.predicted
     assert report.conditions == {"interWV": True, "I": True, "II": True,
                                  "III": True, "IV": True, "V": True,
@@ -244,7 +243,10 @@ def test_isomorphism_fails_on_bad_labeling(example8, example8_trace):
 def test_find_witnesses_on_example(example8_trace):
     found = find_witnesses(example8_trace, seed=EXAMPLE8_SEED)
     assert len(found) == 2
-    for witness in found:
+    for witness, conditions in found:
+        assert conditions == condition_report(example8_trace, witness,
+                                              EXAMPLE8_SEED)
+        assert all(conditions.values())
         assert witness.classes[-1] == (0,)
         assert {witness.classes[0], witness.classes[1]} == {(1, 3), (2, 4)}
 
@@ -290,7 +292,7 @@ def test_facet_certificates_match_dimension_oracle_fuzz():
             continue
         gr = trace.final_graph
         cliques = enumerate_cliques_bounded(gr, [1.0] * n, 500)
-        for witness in witnesses[:2]:
+        for witness, _ in witnesses[:2]:
             for seed in cliques:
                 if not check_seed(trace, witness, seed):
                     continue

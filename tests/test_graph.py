@@ -42,15 +42,6 @@ def test_constructor_rejects_bad_edges():
         Graph(3, [(-1, 2)])
 
 
-def test_from_adjacency_checks_symmetry():
-    g = Graph.from_adjacency([0b010, 0b101, 0b010])
-    assert g.has_edge(0, 1) and g.has_edge(1, 2) and not g.has_edge(0, 2)
-    with pytest.raises(ValueError):
-        Graph.from_adjacency([0b010, 0b000, 0b000])
-    with pytest.raises(ValueError):
-        Graph.from_adjacency([0b001, 0b000, 0b000])
-
-
 def test_clique_and_stable_checks(example8):
     g = example8
     assert g.is_clique([0, 1, 2])

@@ -95,15 +95,12 @@ def test_strengthened_lift_worked_example(example8_trace):
 
 
 def test_lift_from_prefix(example8_trace):
-    by_index = basic_lift(example8_trace, lift_from=2)
-    direct = basic_lift(example8_trace.prefix(2), seed=EXAMPLE8_W3)
-    assert by_index.inequality == direct.inequality
-    assert by_index.factors == direct.factors
-    assert by_index.seed == EXAMPLE8_W3
-    with pytest.raises(IndexError):
-        basic_lift(example8_trace, lift_from=3)
-    with pytest.raises(ValueError):
-        basic_lift(example8_trace, seed=(0, 1), lift_from=1)
+    # the walk's own third clique, lifted over the first two steps
+    cut = basic_lift(example8_trace.prefix(2), seed=EXAMPLE8_W3)
+    assert cut.seed == EXAMPLE8_W3
+    assert cut.factors == (1, 0)
+    assert cut.inequality == Inequality({0: 2, 1: 1, 2: 1, 3: 1, 4: 1}, 2)
+    assert cut.trace.cliques == (EXAMPLE8_W1, EXAMPLE8_W2)
 
 
 def test_zero_step_lift(example8):

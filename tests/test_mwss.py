@@ -37,7 +37,7 @@ def test_enumerate_stable_sets_counts(c5, example8):
 
 def test_enumerate_guard():
     with pytest.raises(ValueError):
-        enumerate_stable_sets(random_graph(30, 0.5, seed=1), max_n=25)
+        enumerate_stable_sets(random_graph(30, 0.5, seed=1))
 
 
 def test_maximum_stable_set_small(c5, example8):
