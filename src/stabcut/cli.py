@@ -340,13 +340,16 @@ def cmd_facet_check(args) -> int:
     else:
         raise SystemExit("facet-check needs a witness file or --find")
 
+    # one lift serves every witness; none is made when no witness was found
+    cut = None
+    if found and trace.base.n <= ORACLE_LIMIT and seed is not None:
+        cut = strengthened_lift(trace, seed=seed)
     reports = []
     for witness, conditions in found:
         entry = witness.to_payload()
         entry["conditions"] = conditions
         entry["predicted_facet"] = all(conditions.values())
-        if trace.base.n <= ORACLE_LIMIT and seed is not None:
-            cut = strengthened_lift(trace, seed=seed)
+        if cut is not None:
             rep = facet_report(trace, witness, cut, trace.r, conditions)
             entry["cut"] = cut.inequality.to_text()
             entry["dim_face"] = rep.dim_face

@@ -329,23 +329,20 @@ def verify_isomorphism(g: Graph, trace: ProjectionTrace,
     witness = FacetWitness.build(g.n, witness.k, witness.classes,
                                  witness.hyperedges, rep)
     rep = witness.representative
-    k = witness.k
     gr = trace.final_graph
     keep = sorted(set(witness.outside) | set(rep))
     sub, back = gr.induced_subgraph(keep)
     pos = {orig: idx for idx, orig in enumerate(back)}
     sub_points = set(enumerate_stable_sets(sub))
     face = _face_masks(g, trace.cliques)
-    if len(face) != len(sub_points):
+    if len(face) != len(sub_points) \
+            or not verify_class_equality(g, trace, witness, trace.r):
         return False
     reps = []
     for c in witness.classes[:-1]:
         reps.append((set(rep) & set(c)).pop())
     images = set()
     for mask in face:
-        for c in witness.classes:
-            if len({mask >> v & 1 for v in c}) > 1:
-                return False
         y = 0
         for w in witness.outside:
             y |= (mask >> w & 1) << pos[w]

@@ -73,12 +73,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & (1 << v))
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def neighbors(self, v: int):
-        return bits(self.adj[v])
-
     def num_edges(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 

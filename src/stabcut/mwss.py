@@ -1,10 +1,10 @@
 """Maximum weight stable sets by branch and bound over bitmask graphs.
 
-Two entry points over one search: max_weight_stable_set for plain
-instances, and solve_constrained for instances with side constraints given
-as vertex masks (each cover mask must contain exactly one chosen vertex, the
-avoid mask none). The side sets may be any vertex sets; they need not be
-cliques of the graph.
+Two entry points over one set-up and one search: max_weight_stable_set for
+plain instances, and solve_constrained for instances with side constraints
+given as vertex masks (each cover mask must contain exactly one chosen
+vertex, the avoid mask none). The side sets may be any vertex sets; they
+need not be cliques of the graph.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits
 
 EPS = 1e-9
 
@@ -31,9 +31,6 @@ class MwssResult:
     proven_optimal: bool
     infeasible: bool = False
     nodes: int = 0
-
-    def mask(self) -> int:
-        return 0 if self.best_set is None else mask_of(self.best_set)
 
 
 class _Budget:
@@ -96,16 +93,17 @@ def _partition_bound(adj, classes, rem: int, val, limit) -> bool:
     return val + b <= limit
 
 
-def _search(adj, weights, classes, covers, budget, best_mask=None,
-            best_val=0):
+def _search(adj, weights, classes, covers, budget):
     """Branch and bound shared by both entry points: the heaviest stable set
     inside the weight classes that holds exactly one vertex of every cover
-    mask, starting from an incumbent (best_mask None when there is none).
-    While a cover is unsatisfied the search branches over its free members,
-    heaviest first; after that only vertices of positive weight are worth
-    adding, one at a time, in and then out. Vertices are taken in (-weight,
-    vertex) order, read off the classes. Returns the best mask (None when no
-    set meets the covers) and its value."""
+    mask. While a cover is unsatisfied the search branches over its free
+    members, heaviest first; after that only vertices of positive weight are
+    worth adding, one at a time, in and then out. Vertices are taken in
+    (-weight, vertex) order, read off the classes. Without covers the first
+    descent is therefore the greedy stable set, heaviest first, and it is
+    the first incumbent. Returns the best mask (None when no set meets the
+    covers) and its value."""
+    best_mask, best_val = None, 0
     ban = [0] * len(adj)  # choosing v additionally bans co-members of its covers
     for c in covers:
         for v in bits(c):
@@ -154,35 +152,45 @@ def _search(adj, weights, classes, covers, budget, best_mask=None,
     return best_mask, best_val
 
 
-def max_weight_stable_set(g: Graph, weights, within=None, time_budget=None,
-                          max_nodes=None) -> MwssResult:
-    """Heaviest stable set of g. Vertices with weight <= 0 are dropped up
-    front; removing them from any stable set never lowers the value, so the
-    optimum is unchanged and returned sets contain only positive weights."""
+def _solve(g: Graph, weights, covers, avoid, budget) -> MwssResult:
+    """Set-up shared by both entry points: check the inputs, group the
+    vertices outside avoid into weight classes, search, and build the
+    result. Vertices of weight <= 0 are dropped unless they belong to a
+    cover; removing them from a stable set never lowers its value, while
+    cover members must stay searchable for the exactly-one constraints to
+    be exact."""
     if len(weights) != g.n:
         raise ValueError("need one weight per vertex")
-    adj = g.adj
-    mask = g.full_mask if within is None else within & g.full_mask
-    classes = [(w, m) for w, m in _weight_classes(weights, mask) if w > 0]
-    budget = _Budget(time_budget, max_nodes)
+    cover_union = 0
+    for c in covers:
+        if not c or c & ~g.full_mask:
+            raise ValueError("cover mask %#x is empty or not within the graph" % c)
+        cover_union |= c
+    if avoid & ~g.full_mask:
+        raise ValueError("avoid mask %#x is not within the graph" % avoid)
+    classes = []
+    for w, members in _weight_classes(weights, g.full_mask & ~avoid):
+        if not w > 0:
+            members &= cover_union
+        if members:
+            classes.append((w, members))
 
-    # greedy incumbent, heaviest first
-    greedy_mask, greedy_val = 0, 0
-    cand = mask
-    for _, members in classes:
-        free = cand & members
-        while free:
-            bit = free & -free
-            v = bit.bit_length() - 1
-            greedy_mask |= bit
-            greedy_val += weights[v]
-            cand &= ~(adj[v] | bit)
-            free = cand & members
+    best_mask, best_val = _search(g.adj, weights, classes, covers, budget)
+    proven = not budget.exhausted
+    if best_mask is None:
+        return MwssResult(None, None, proven, infeasible=proven,
+                          nodes=budget.nodes)
+    return MwssResult(tuple(bits(best_mask)), best_val, proven,
+                      nodes=budget.nodes)
 
-    best_mask, best_val = _search(adj, weights, classes, (), budget,
-                                  greedy_mask, greedy_val)
-    return MwssResult(tuple(bits(best_mask)), best_val,
-                      proven_optimal=not budget.exhausted, nodes=budget.nodes)
+
+def max_weight_stable_set(g: Graph, weights, within=None, time_budget=None,
+                          max_nodes=None) -> MwssResult:
+    """Heaviest stable set of g, inside the within mask when one is given.
+    Vertices with weight <= 0 are dropped up front, so returned sets
+    contain only positive weights."""
+    avoid = 0 if within is None else g.full_mask & ~within
+    return _solve(g, weights, (), avoid, _Budget(time_budget, max_nodes))
 
 
 def maximum_stable_set(g: Graph) -> MwssResult:
@@ -199,35 +207,7 @@ def solve_constrained(g: Graph, weights, covers=(), avoid=0,
     cover either way. The strengthened lift relies on this, since its covers
     are cliques of projected graphs and need not be cliques of g.
     """
-    if len(weights) != g.n:
-        raise ValueError("need one weight per vertex")
-    covers = tuple(covers)
-    for c in covers:
-        if not c or c & ~g.full_mask:
-            raise ValueError("cover mask %#x is empty or not within the graph" % c)
-    if avoid & ~g.full_mask:
-        raise ValueError("avoid mask %#x is not within the graph" % avoid)
-    budget = _Budget(max_nodes=max_nodes)
-
-    cover_union = 0
-    for c in covers:
-        cover_union |= c
-    # cover members stay searchable whatever their weight; exactness of the
-    # exactly-one constraints depends on it
-    classes = []
-    for w, members in _weight_classes(weights, g.full_mask & ~avoid):
-        if not w > 0:
-            members &= cover_union
-        if members:
-            classes.append((w, members))
-
-    best_mask, best_val = _search(g.adj, weights, classes, covers, budget)
-    proven = not budget.exhausted
-    if best_mask is None:
-        return MwssResult(None, None, proven, infeasible=proven,
-                          nodes=budget.nodes)
-    return MwssResult(tuple(bits(best_mask)), best_val, proven,
-                      nodes=budget.nodes)
+    return _solve(g, weights, tuple(covers), avoid, _Budget(max_nodes=max_nodes))
 
 
 # the most vertices enumerate_stable_sets accepts

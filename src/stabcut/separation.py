@@ -55,15 +55,12 @@ def build_clique_pool(g: Graph, point, params: SeparationParams = None, rng=None
     by_value = lambda _, u: (-point[u], tie[u])
     uncovered_first = lambda _, u: (covered >> u & 1, -point[u], tie[u])
     keys = cycle((by_value, uncovered_first))
-    pool, violated, seen = [], [], set()
+    pool, violated = [], []
     while covered != g.full_mask:
         start = min((v for v in range(g.n) if not covered >> v & 1),
                     key=lambda u: (-point[u], tie[u]))
         w = grow_clique(g, (start,), next(keys))
         covered |= mask_of(w)
-        if w in seen:
-            continue
-        seen.add(w)
         weight = point_weight(point, w)
         if weight >= POOL_THRESHOLD:
             pool.append(w)
@@ -95,8 +92,6 @@ def _next_from_false_edges(trace, point, used):
     vertices first; the embedded false edge keeps the clique distinct from
     every earlier one."""
     last = trace.steps[-1].false_edges
-    if not last:
-        return None
     edge = min(last, key=lambda e: (-(point[e[0]] + point[e[1]]), e))
     return grow_clique(trace.final_graph, edge,
                        lambda _, x: (x in used, -point[x], x))

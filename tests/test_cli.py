@@ -264,6 +264,34 @@ def test_facet_check_find_mode(capsys, tmp_path):
     assert all(entry["facet"] for entry in reports)
 
 
+def test_facet_check_lifts_once(capsys, tmp_path, monkeypatch):
+    # the cut depends on the trace and the seed only, so two witnesses share
+    # one lift, and a search that finds no witness lifts nothing
+    calls = []
+
+    def counting_lift(trace, seed):
+        calls.append(seed)
+        return strengthened_lift(trace, seed=seed)
+
+    monkeypatch.setattr(cli, "strengthened_lift", counting_lift)
+    code, out, _ = run_cli(capsys, "facet-check",
+                           example8_trace_file(tmp_path), "--find",
+                           "--lift-seed", "1,4,5,6,7", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)
+    assert len(reports) == 2 and reports[0]["cut"] == reports[1]["cut"]
+    assert calls == [(1, 4, 5, 6, 7)]
+
+    calls.clear()
+    empty = tmp_path / "empty_trace.json"
+    empty.write_text(trace_to_json(ProjectionTrace(c5())))
+    code, out, _ = run_cli(capsys, "facet-check", str(empty), "--find",
+                           "--lift-seed", "0,2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == []
+    assert calls == []
+
+
 def test_facet_check_needs_witness_or_find(capsys, tmp_path):
     with pytest.raises(SystemExit):
         main(["facet-check", example8_trace_file(tmp_path)])

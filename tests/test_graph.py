@@ -27,8 +27,8 @@ def test_constructor_and_queries(example8):
     assert g.num_edges() == 17
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(3, 4)
-    assert g.degree(2) == 6
-    assert list(g.neighbors(4)) == [0, 1, 7]
+    assert g.adj[2].bit_count() == 6
+    assert list(bits(g.adj[4])) == [0, 1, 7]
     assert list(g.edges())[0] == (0, 1)
     assert sorted(g.edges()) == list(g.edges())
 

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 
-from stabcut.graph import Graph, mask_of, random_graph
+from stabcut.graph import Graph, bits, mask_of, random_graph
 from stabcut.mwss import (
     EPS,
     _partition_bound,
@@ -72,7 +73,7 @@ def test_within_restriction():
         weights = [rng.randint(1, 6) for _ in range(n)]
         within = mask_of(v for v in range(n) if rng.random() < 0.6)
         r = max_weight_stable_set(g, weights, within=within)
-        assert r.mask() & ~within == 0
+        assert mask_of(r.best_set) & ~within == 0
         assert r.best_value == brute_max(g, weights, within_mask=within)
 
 
@@ -137,7 +138,7 @@ def constrained_brute(g, weights, covers, avoids):
 
 def grow_clique(g, seed_vertex, rng):
     w = [seed_vertex]
-    cand = list(g.neighbors(seed_vertex))
+    cand = list(bits(g.adj[seed_vertex]))
     rng.shuffle(cand)
     for v in cand:
         if all(g.has_edge(v, u) for u in w):
@@ -198,8 +199,7 @@ def test_matches_networkx_max_weight_clique():
     # set of g is the heaviest clique of its complement. networkx needs
     # integer weights; nonpositive ones count as 0 there, which leaves the
     # optimum unchanged. Every other solve goes through solve_constrained
-    # with one vertex avoided and no cover, which starts the shared search
-    # without an incumbent.
+    # with one vertex avoided and no cover.
     nx = pytest.importorskip("networkx")
     rng = random.Random(40)
     for trial in range(200):
@@ -314,3 +314,54 @@ def test_partition_bound_prunes_as_the_full_sum():
         assert got == expect, (trial, rem, val, best_val)
         decisions.add(got)
     assert decisions == {True, False}
+
+
+def test_max_weight_stable_set_keeps_recorded_choices():
+    # The digest pins every (best_set, best_value) over 400 seeded instances:
+    # n from 1 to 45, densities 0.1 to 0.9, integer, quarter and real weights
+    # with some at or below zero, and a within mask on every second one.
+    # Ties between equal optima and the float sums of real weights must not
+    # move when the search changes.
+    rng = random.Random(20261019)
+    h = hashlib.sha256()
+    for trial in range(400):
+        n = rng.randint(1, 45)
+        g = random_graph(n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]),
+                         seed=30000 + trial)
+        if trial % 3 == 0:
+            weights = [rng.randint(-2, 6) for _ in range(n)]
+        elif trial % 3 == 1:
+            weights = [rng.randint(-4, 12) / 4 for _ in range(n)]
+        else:
+            weights = [rng.uniform(-0.5, 2.0) for _ in range(n)]
+        within = None
+        if trial % 2:
+            within = mask_of(v for v in range(n) if rng.random() < 0.7)
+        r = max_weight_stable_set(g, weights, within=within)
+        assert r.proven_optimal and not r.infeasible
+        h.update(repr((r.best_set, r.best_value)).encode())
+    assert h.hexdigest() == (
+        "4f34e9a3dcdc8a4905ca48e290b3b2d5dfcecb13d298a04c56b34c3f64b7d32a")
+
+
+def test_solve_constrained_keeps_recorded_choices():
+    # As above for 300 side-constrained instances: up to three covers of one
+    # to four arbitrary vertices and a random avoid mask; 44 are infeasible.
+    rng = random.Random(20261020)
+    h = hashlib.sha256()
+    infeasible = 0
+    for trial in range(300):
+        n = rng.randint(2, 24)
+        g = random_graph(n, rng.choice([0.2, 0.4, 0.6, 0.8]),
+                         seed=31000 + trial)
+        weights = [rng.randint(-8, 16) / 4 for _ in range(n)]
+        covers = [mask_of(rng.sample(range(n), rng.randint(1, min(n, 4))))
+                  for _ in range(rng.randint(0, 3))]
+        avoid = mask_of(v for v in range(n) if rng.random() < 0.15)
+        r = solve_constrained(g, weights, covers=covers, avoid=avoid)
+        assert r.proven_optimal
+        infeasible += r.infeasible
+        h.update(repr((r.best_set, r.best_value, r.infeasible)).encode())
+    assert infeasible == 44
+    assert h.hexdigest() == (
+        "e3cac9953de04561cf1371e5a7dc5d5cca970d7b886bbbd6ee69ca51a143d051")

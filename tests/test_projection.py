@@ -35,7 +35,7 @@ def project_oracle(g, w):
         for v in range(u + 1, g.n):
             if u in wset or v in wset or g.has_edge(u, v):
                 continue
-            if wset <= set(g.neighbors(u)) | set(g.neighbors(v)):
+            if wset <= set(bits(g.adj[u])) | set(bits(g.adj[v])):
                 false_edges.add((u, v))
     return false_edges
 
