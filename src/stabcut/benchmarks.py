@@ -37,9 +37,7 @@ def mann_a9() -> Graph:
         edges.extend(combinations(trio, 2))
         for j, p in enumerate(line):
             edges.append((3 * i + j, 36 + p))
-    sparse = Graph(45, edges)
-    g = sparse.complement()
-    return Graph(45, g.edges(), name="MANN_a9")
+    return Graph(45, edges).complement(name="MANN_a9")
 
 
 def hamming_graph(bits: int = 6, min_distance: int = 4) -> Graph:

@@ -32,6 +32,7 @@ separate and verify, every cut passed the validity oracle.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -93,9 +94,20 @@ def _parse_procs(text: str):
     return procs
 
 
+@contextlib.contextmanager
+def _reading(path: str):
+    # a missing, unreadable or malformed input file met inside the block
+    # ends the command with one line on stderr that names the file and the
+    # problem, and exit status 1; faults elsewhere keep their traceback
+    try:
+        yield
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SystemExit("%s: %s: %s" % (path, type(exc).__name__, exc))
+
+
 def _parse_point(value: str, n: int):
     if value.startswith("@"):
-        with open(value[1:]) as fh:
+        with _reading(value[1:]), open(value[1:]) as fh:
             point = json.load(fh)
     else:
         point = [float(p) for p in value.split(",")]
@@ -116,9 +128,6 @@ def load_instance(name: str, complement: bool) -> Graph:
     """Resolve an instance argument to the graph the run should solve."""
     if os.path.exists(name):
         g = read_dimacs(name)
-        if not g.name:
-            g = Graph(g.n, g.edges(),
-                      name=os.path.splitext(os.path.basename(name))[0])
     elif name in BENCHMARKS:
         g = BENCHMARKS[name]()
     else:
@@ -242,7 +251,8 @@ def _run_jobs(jobs, workers):
 
 
 def cmd_separate(args) -> int:
-    g = load_instance(args.graph, args.complement)
+    with _reading(args.graph):
+        g = load_instance(args.graph, args.complement)
     point = _parse_point(args.point, g.n)
     procs = _parse_procs(args.proc)
     if "clique" in procs:
@@ -282,7 +292,8 @@ def cmd_separate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = load_instance(args.graph, args.complement)
+    with _reading(args.graph):
+        g = load_instance(args.graph, args.complement)
     point = _parse_point(args.point, g.n) if args.point else None
     rows, ok = [], True
     for path in args.cuts:
@@ -325,14 +336,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_facet_check(args) -> int:
-    with open(args.trace) as fh:
+    with _reading(args.trace), open(args.trace) as fh:
         trace = trace_from_json(fh.read())
     seed = _parse_vertices(args.lift_seed) if args.lift_seed else None
     if args.witness:
-        with open(args.witness) as fh:
+        with _reading(args.witness), open(args.witness) as fh:
             payload = json.load(fh)
-        witness = witness_from_trace(trace, payload["classes"],
-                                     payload.get("representative") or None)
+            witness = witness_from_trace(trace, payload["classes"],
+                                         payload.get("representative") or None)
         found = [(witness, condition_report(trace, witness, seed=seed))]
     elif args.find:
         found = find_witnesses(trace, seed=seed)

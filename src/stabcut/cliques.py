@@ -38,7 +38,7 @@ def grow_clique(g: Graph, start, key):
     return tuple(bits(members))
 
 
-def enumerate_cliques_bounded(g: Graph, point, limit: int = 1000):
+def enumerate_cliques_bounded(g: Graph, point, limit: int):
     """Maximal cliques by depth-first expansion with pivoting, cut off after
     limit cliques. Returns the cliques heaviest first under point (ties:
     lexicographically smallest vertex tuple)."""

@@ -8,7 +8,6 @@ cuts off the point.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import cycle
 
@@ -116,11 +115,11 @@ def sep_for_stab(g: Graph, point, params: SeparationParams = None,
                  pool=None) -> SeparationOutcome:
     """Run projection-walk separation against a fractional point.
 
-    Each iteration pops a start clique from the pool and walks projections
-    while the running clique is not violated enough or the walk is shallower
-    than min_depth, never deeper than max_depth. Violated cliques are recorded
-    with the walk prefix they live on and lifted at the end of the walk; an
-    iteration that adds nothing to the cut list counts as failed.
+    Each iteration takes the next start clique of the pool and walks
+    projections while the running clique is not violated enough or the walk
+    is shallower than min_depth steps, never deeper than max_depth. Violated
+    cliques are recorded with the walk prefix they live on and lifted at the
+    end of the walk; an iteration that adds no cut counts as failed.
     """
     params = params or SeparationParams()
     if procedure == "basic":
@@ -132,7 +131,6 @@ def sep_for_stab(g: Graph, point, params: SeparationParams = None,
     if pool is None:
         pool, _ = build_clique_pool(g, point, params, rng)
 
-    queue = deque(pool)
     cuts = {}
     iterations = 0
     projections = 0
@@ -142,24 +140,23 @@ def sep_for_stab(g: Graph, point, params: SeparationParams = None,
     def violated(w):
         return point_weight(point, w) - 1 > params.min_violation
 
-    while queue and iterations < params.max_iterations \
-            and len(cuts) < params.max_ncuts:
+    for w in pool:
+        if iterations >= params.max_iterations or len(cuts) >= params.max_ncuts:
+            break
         iterations += 1
-        w = queue.popleft()
         trace = ProjectionTrace(g)
         used = set(w)
         records = []
-        t = 0
-        while (not violated(w) or t <= params.min_depth) and t < params.max_depth:
+        while (not violated(w) or trace.r <= params.min_depth) \
+                and trace.r < params.max_depth:
             if violated(w):
-                records.append((t, w))
+                records.append((trace.r, w))
             extended = project_with_repair(trace, w, point)
             if extended is None:
                 w = None
                 break
             trace = extended
             used |= set(trace.cliques[-1])
-            t += 1
             projections += 1
             if projections % params.tomita_period == 0:
                 w = _next_from_enumeration(trace, point, tried, params)
@@ -168,7 +165,7 @@ def sep_for_stab(g: Graph, point, params: SeparationParams = None,
             if w is None:
                 break
         if w is not None and violated(w):
-            records.append((t, w))
+            records.append((trace.r, w))
 
         added = 0
         for tau, seed in records:

@@ -21,12 +21,12 @@ PIVOT_TOL = 1e-7
 _BLOCK_ROWS = 128
 
 
-def _ratio_test(w, sigma, xb, low, up, span):
+def _ratio_test(w, sigma, xb, up, span):
     """Bounded primal ratio test for an entering column.
 
     Basic value i drops by sigma * w[i] per unit step of the entering
-    column, whose own range is span; low and up are the bounds of the basic
-    variables. Returns (step, leave): leave is the row that blocks first, or
+    column, whose own range is span; the basic variables range from 0 to
+    up. Returns (step, leave): leave is the row that blocks first, or
     None when the entering column reaches its other bound first (step is
     then span).
 
@@ -39,7 +39,7 @@ def _ratio_test(w, sigma, xb, low, up, span):
     ratios = np.full(len(w), np.inf)
     falls = sw > PIVOT_TOL
     rises = (sw < -PIVOT_TOL) & ~np.isinf(up)
-    ratios[falls] = (xb[falls] - low[falls]) / sw[falls]
+    ratios[falls] = xb[falls] / sw[falls]
     ratios[rises] = (xb[rises] - up[rises]) / sw[rises]
     # negative steps become 0.0 but a -0.0 step stays -0.0, as with a
     # scalar max(t, 0.0); np.maximum(t, 0.0) would turn it into +0.0
@@ -81,9 +81,9 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     repair and one restart from the slack basis.
 
     warm takes the start token of a previous result whose rows are a prefix
-    of this call's rows (same n, same objective). The old basis stays dual
-    feasible after rows are appended, so reoptimization runs a few dual
-    steps instead of a fresh walk. A token that does not fit is ignored.
+    of this call's rows (same n, same objective). Its basis stays dual
+    feasible, so the repair that also follows the nudge drop reoptimizes it
+    in a few dual steps. A token that does not fit is ignored.
 
     The reduced costs, a pivot row and an entering column are computed at
     most once per basis. A bound flip keeps the basis, so the steps after
@@ -150,7 +150,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
 
     c = np.zeros(total)
     c[:n] = objective
-    lower = np.zeros(total)
+    # every variable rests at 0 or above; only the upper bounds differ
     upper = np.concatenate([np.ones(n), np.full(m, np.inf)])
 
     # A strictly increasing nudge on each right side makes every ratio test
@@ -169,8 +169,9 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     status = "stalled"
     # the basis, set by install: the basic variable of each row as an index
     # array, its inverse, which variables are basic, which nonbasic ones
-    # rest at their upper bound, and the basic values
-    basis = binv = is_basic = at_upper = xb = None
+    # rest at their upper bound, and the basic values; then whether the
+    # nudge is in and the right side the basic values are solved for
+    basis = binv = is_basic = at_upper = xb = nudged = b_solve = None
 
     # products of the current basis: the reduced costs under "d", pivot
     # rows under ("row", r) and entering columns under ("col", j). Bound
@@ -199,13 +200,13 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
 
     def basic_solution(rhs):
         # values of the basic variables with every nonbasic one at its bound
-        vals = np.where(at_upper, upper, lower)
+        vals = np.where(at_upper, upper, 0.0)
         vals[is_basic] = 0.0
         return binv @ (rhs - acols @ vals)
 
     def bound_violation(vec):
         # how far each basic value lies outside its bounds; <= 0 inside
-        return np.maximum(lower[basis] - vec, vec - upper[basis])
+        return np.maximum(-vec, vec - upper[basis])
 
     def pivot(r, j, w, step, leaving_at_upper):
         # column j enters the basis at row r after every basic value moved
@@ -219,7 +220,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         at_upper[leaving] = leaving_at_upper
         basis[r] = j
         is_basic[j] = True
-        xb[r] = (upper[j] if at_upper[j] else lower[j]) + step
+        xb[r] = (upper[j] if at_upper[j] else 0.0) + step
         at_upper[j] = False
         binv[r] /= w[r]
         # rank-1 update of every other row, a block of rows at a time so
@@ -233,10 +234,11 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                                                          binv[r])
 
     def refactor():
-        nonlocal binv, xb
+        nonlocal binv, xb, since_refactor
         priced.clear()
         binv = np.linalg.inv(acols[:, basis])
         xb = basic_solution(b_solve)
+        since_refactor = 0
 
     def install(new_basis, new_binv, new_at_upper):
         # a basis given whole: its variables, inverse and nonbasic bounds
@@ -264,10 +266,8 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         # right side changed under it. Each step kicks the most violated
         # basic variable out at the bound it breaks and brings in the
         # column that keeps every reduced cost on its side, the usual
-        # bounded dual ratio test. Used after dropping the rhs nudge and
-        # after installing a warm basis, where only the appended rows are
-        # out of bounds and a short run of pivots suffices. Stops at the
-        # iteration cap, where the caller keeps the basis it reached.
+        # bounded dual ratio test. Stops at the iteration cap, where the
+        # caller keeps the basis it reached.
         nonlocal xb, iterations, flips
         for _ in range(m + 200):
             if iterations >= max_iterations:
@@ -277,8 +277,8 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
             r = int(np.argmax(violation))
             if violation[r] <= 1e-8:
                 return True
-            # row r breaks exactly one of its bounds, as lower <= upper
-            below = bool(xb[r] < lower[basis[r]])
+            # row r breaks exactly one of its bounds, as 0 <= upper
+            below = bool(xb[r] < 0.0)
             d = reduced_costs()
             alpha = pivot_row(r)
             if below:
@@ -295,9 +295,9 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
             j = int(near[int(np.argmax(np.abs(alpha[near])))])
             sigma = -1.0 if at_upper[j] else 1.0
             w = column(j)
-            bound_r = lower[basis[r]] if below else upper[basis[r]]
+            bound_r = 0.0 if below else upper[basis[r]]
             t = (xb[r] - bound_r) / (sigma * w[r])
-            span = upper[j] - lower[j]
+            span = upper[j]
             if t > span + 1e-12:
                 # the entering column hits its own other bound first; flip
                 # it and pick the row's entering column again
@@ -307,6 +307,21 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                 continue
             pivot(r, j, w, sigma * t, not below)
         return False
+
+    def repair(restart_nudged):
+        # The one way back to the exact right side, after a warm basis is
+        # installed and after the nudge is dropped: the basis is dual
+        # feasible and xb already holds its values under b, so dual steps
+        # walk the bounds back in. A failed repair walks again from slacks,
+        # with the nudge when restart_nudged; the iteration cap instead
+        # keeps the basis it reached. Either way the next sign test
+        # confirms on a fresh inverse.
+        nonlocal nudged, b_solve, since_refactor
+        nudged = False
+        b_solve = b
+        if not dual_repair() and iterations < max_iterations:
+            reset_to_slacks(restart_nudged)
+        since_refactor = 1
 
     if warm is not None:
         old_basis, old_at_upper = warm
@@ -325,15 +340,11 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                 # the prefix rows, so solve without the nudge: old rows are
                 # already in bounds and only the appended slacks need dual
                 # steps. A failed repair restarts from slacks with the nudge.
-                nudged = False
-                b_solve = b
                 at_upper = np.zeros(total, dtype=bool)
                 at_upper[:n + m_old] = np.asarray(old_at_upper, dtype=bool)
                 install(cand, inv, at_upper)
-                xb = basic_solution(b_solve)
-                if not dual_repair() and iterations < max_iterations:
-                    reset_to_slacks(True)
-                since_refactor = 1
+                xb = basic_solution(b)
+                repair(True)
 
     while iterations < max_iterations:
         iterations += 1
@@ -345,7 +356,6 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
             if since_refactor > 0:
                 # confirm on a fresh inverse before trusting the sign test
                 refactor()
-                since_refactor = 0
                 continue
             true_xb = basic_solution(b)
             if float(np.max(bound_violation(true_xb))) > 1e-7:
@@ -353,15 +363,12 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                     # no nudge left to drop: the solve ends stalled
                     break
                 # nudged optimum misses the real right side: keep the basis,
-                # which stays dual feasible, swap in the exact rhs and let
-                # dual steps walk the bounds back in, or else walk again
-                # from slacks without the nudge
-                nudged = False
-                b_solve = b
-                refactor()
-                if not dual_repair() and iterations < max_iterations:
-                    reset_to_slacks(False)
-                since_refactor = 1
+                # which stays dual feasible, and repair from its exact point,
+                # or else walk again from slacks without the nudge. No pivot
+                # since the refactor that led here, so binv already inverts
+                # this basis and its products stay valid.
+                xb = true_xb
+                repair(False)
                 continue
             xb = true_xb
             status = "optimal"
@@ -370,8 +377,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         sigma = -1.0 if at_upper[j] else 1.0
         w = column(j)
 
-        t_best, leave = _ratio_test(w, sigma, xb, lower[basis], upper[basis],
-                                    upper[j] - lower[j])
+        t_best, leave = _ratio_test(w, sigma, xb, upper[basis], upper[j])
         if leave is None and math.isinf(t_best):
             # cannot happen for a bounded objective; bail out defensively
             break
@@ -385,9 +391,8 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
             since_refactor += 1
             if since_refactor >= 50:
                 refactor()
-                since_refactor = 0
 
-    vals = np.where(at_upper, upper, lower)
+    vals = np.where(at_upper, upper, 0.0)
     vals[basis] = xb
     x = np.clip(vals[:n], 0.0, 1.0)
     value = float(np.dot(c[:n], x))

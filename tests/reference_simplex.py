@@ -4,7 +4,11 @@ Each iteration of this loop computes the reduced costs, and each dual
 repair step its pivot row, afresh from the basis inverse, also after a bound
 flip that left the basis alone. lp_solve computes them once per basis; the
 products and their operands are the same, so both must return the same
-LpResult bit for bit. Input checks are left out: pass valid rows only.
+LpResult bit for bit. It keeps its own copy of the ratio test, which reads a
+lower bound of 0 for every variable from an array, and after dropping the
+nudge it inverts the basis afresh where lp_solve keeps the inverse it has,
+which no pivot has touched since the last inversion.
+Input checks are left out: pass valid rows only.
 """
 
 from __future__ import annotations
@@ -13,7 +17,38 @@ import math
 
 import numpy as np
 
-from stabcut.simplex import _BLOCK_ROWS, DEFAULT_TOL, PIVOT_TOL, LpResult, _ratio_test
+from stabcut.simplex import _BLOCK_ROWS, DEFAULT_TOL, PIVOT_TOL, LpResult
+
+
+def _ratio_test(w, sigma, xb, low, up, span):
+    """Bounded primal ratio test for an entering column.
+
+    Basic value i drops by sigma * w[i] per unit step of the entering
+    column, whose own range is span; low and up are the bounds of the basic
+    variables. Returns (step, leave): leave is the row that blocks first, or
+    None when the entering column reaches its other bound first (step is
+    then span).
+
+    Rows whose pivot is within PIVOT_TOL of zero never block: a division
+    by 1e-9 would wreck the basis inverse. Among the rows that block inside
+    a small window above the tightest step, the leaving row is the first
+    one of largest |w|.
+    """
+    sw = sigma * w
+    ratios = np.full(len(w), np.inf)
+    falls = sw > PIVOT_TOL
+    rises = (sw < -PIVOT_TOL) & ~np.isinf(up)
+    ratios[falls] = (xb[falls] - low[falls]) / sw[falls]
+    ratios[rises] = (xb[rises] - up[rises]) / sw[rises]
+    # negative steps become 0.0 but a -0.0 step stays -0.0, as with a
+    # scalar max(t, 0.0); np.maximum(t, 0.0) would turn it into +0.0
+    ratios = np.where(0.0 > ratios, 0.0, ratios)
+    tmin = float(ratios.min())
+    if not tmin <= span:
+        return span, None
+    window = tmin + 1e-9 * (1.0 + abs(tmin))
+    near = np.flatnonzero(~(ratios > window))
+    return tmin, int(near[int(np.argmax(np.abs(w[near])))])
 
 
 def reference_lp_solve(n, rows, objective=None, max_iterations=None, warm=None):

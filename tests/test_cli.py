@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -290,6 +293,51 @@ def test_facet_check_lifts_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert json.loads(out) == []
     assert calls == []
+
+
+BAD_INPUTS = {
+    "missing instance": (["separate", "nosuch.clq", "--point", "0.5"],
+                         "nosuch.clq"),
+    "missing instance to verify": (["verify", "nosuch.clq", "cut.json"],
+                                   "nosuch.clq"),
+    "malformed instance": (["separate", "bad.clq", "--point", "0.5,0.5,0.5"],
+                           "bad.clq"),
+    "directory as instance": (["separate", "sub", "--point", "0.5"], "sub"),
+    "missing point file": (["separate", "c5.clq", "--point", "@nosuch.json"],
+                           "nosuch.json"),
+    "missing trace": (["facet-check", "nosuch.json", "--find"], "nosuch.json"),
+    "malformed trace": (["facet-check", "bad.json", "--find"], "bad.json"),
+    "missing witness": (["facet-check", "trace.json", "--witness",
+                         "nosuch.json"], "nosuch.json"),
+    "witness without classes": (["facet-check", "trace.json", "--witness",
+                                 "bad.json"], "bad.json"),
+    "witness that is a list": (["facet-check", "trace.json", "--witness",
+                                "list.json"], "list.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_file_is_one_line_not_a_traceback(case, tmp_path):
+    # a missing or malformed file named on the command line ends the
+    # command with exit status 1 and one line on stderr naming the file,
+    # as the stabcut script runs it; these used to end in a traceback
+    argv, named = BAD_INPUTS[case]
+    (tmp_path / "c5.clq").write_text(serialize_dimacs(c5()))
+    (tmp_path / "bad.clq").write_text("p edge 3 1\ne 1 9\n")
+    (tmp_path / "bad.json").write_text('{"n": 3, "steps": []}')
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "sub").mkdir()
+    example8_trace_file(tmp_path)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "stabcut"] + argv,
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(named + ": ")
 
 
 def test_facet_check_needs_witness_or_find(capsys, tmp_path):

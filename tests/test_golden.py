@@ -27,6 +27,8 @@ HALF5 = "0.5,0.5,0.5,0.5,0.5"
 CASES = {
     "bound_mann_a9.csv": ["bound", "MANN_a9", "--proc", "c,b,s",
                           "--seed", "3"],
+    "bound_mann_a9_clique.txt": ["bound", "MANN_a9", "--proc", "c",
+                                 "--seed", "3", "--format", "text"],
     "bench_small.csv": ["bench", "--sizes", "12,16", "--densities", "0.3,0.5",
                         "--reps", "2", "--seed", "5"],
     "separate_c5.json": ["separate", "c5.clq", "--point", HALF5,
@@ -35,6 +37,12 @@ CASES = {
     "facet_check_example8.json": ["facet-check", "example8_trace.json",
                                   "--find", "--lift-seed", "1,4,5,6,7",
                                   "--format", "json"],
+    "facet_check_example8.csv": ["facet-check", "example8_trace.json",
+                                 "--find", "--lift-seed", "1,4,5,6,7",
+                                 "--format", "csv"],
+    "facet_check_example8.txt": ["facet-check", "example8_trace.json",
+                                 "--find", "--lift-seed", "1,4,5,6,7",
+                                 "--format", "text"],
 }
 
 

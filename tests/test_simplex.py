@@ -225,7 +225,7 @@ def test_ratio_test_matches_scalar_loop_on_ties():
                 xb[i] = lower[var] + t * abs(sw) + rng.choice([0.0, 0.0, 0.3])
         span = rng.choice([1.0, np.inf, 0.25])
         want = scalar_ratio_test(w, sigma, xb, basis, lower, upper, span)
-        got = _ratio_test(w, sigma, xb, lower[basis], upper[basis], span)
+        got = _ratio_test(w, sigma, xb, upper[basis], span)
         assert got == want[:2], trial
         assert math.copysign(1.0, got[0]) == math.copysign(1.0, want[0])
         leaves.add(want[1])
