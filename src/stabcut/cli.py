@@ -105,23 +105,33 @@ def _reading(path: str):
         raise SystemExit("%s: %s: %s" % (path, type(exc).__name__, exc))
 
 
+def _numbers(parts, kind, option: str):
+    # a part that is not a number ends the command with one line on stderr
+    # and exit status 1, like the other usage errors
+    try:
+        return [kind(p) for p in parts]
+    except ValueError as exc:
+        raise SystemExit("%s: %s" % (option, exc))
+
+
 def _parse_point(value: str, n: int):
     if value.startswith("@"):
         with _reading(value[1:]), open(value[1:]) as fh:
-            point = json.load(fh)
+            point = [float(x) for x in json.load(fh)]
     else:
-        point = [float(p) for p in value.split(",")]
+        point = _numbers(value.split(","), float, "--point")
     if len(point) != n:
         raise SystemExit("point has %d entries, graph has %d vertices"
                          % (len(point), n))
     for x in point:
-        if not 0.0 <= float(x) <= 1.0:
+        if not 0.0 <= x <= 1.0:
             raise SystemExit("point entry %r outside [0, 1]" % (x,))
-    return [float(x) for x in point]
+    return point
 
 
 def _parse_vertices(value: str):
-    return tuple(int(p) for p in value.split(",") if p.strip() != "")
+    return tuple(_numbers([p for p in value.split(",") if p.strip() != ""],
+                          int, "--lift-seed"))
 
 
 def load_instance(name: str, complement: bool) -> Graph:
@@ -392,10 +402,10 @@ def cmd_facet_check(args) -> int:
 def cmd_bench(args) -> int:
     procs = _parse_procs(args.proc)
     params = _build_params(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _numbers(args.sizes.split(","), int, "--sizes")
     if min(sizes) < 0:
         raise SystemExit("graph sizes must be nonnegative, got %s" % args.sizes)
-    densities = [float(d) for d in args.densities.split(",")]
+    densities = _numbers(args.densities.split(","), float, "--densities")
     cells, jobs = [], []
     for n in sizes:
         for d in densities:

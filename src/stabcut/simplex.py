@@ -4,6 +4,10 @@ Maximizes c.x subject to rows of A x <= b with 0 <= x <= 1, where every
 b_i >= 0 so the all-slack basis is feasible and no phase one is needed. Good
 for a few hundred variables and rows, which is all the cutting plane loop
 asks of it.
+
+Only the m x n structural block is stored: slack i is the implicit unit
+column e_i. The basis inverse is the one m x m array kept, and an inversion
+builds the basis matrix beside it, so a solve peaks at about 2 m^2 doubles.
 """
 
 from __future__ import annotations
@@ -92,6 +96,11 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     bounds every iteration, dual repair steps included, and a call stopped
     by it hands back the basis it reached as its start token.
 
+    The structural block is padded with zero columns to a multiple of 4,
+    so that OpenBLAS rounds every product as it would with the slack
+    columns stored after it. A refactor or a warm start drops the old
+    inverse before it inverts, so one inverse is live at a time.
+
     Raises ValueError on non-finite input, on a negative right side, and on
     a nonzero coefficient below PIVOT_TOL, or 0 by underflow, once its row
     is divided by its largest entry (when that exceeds 1).
@@ -111,7 +120,13 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                         "optimal", 0)
 
     total = n + m
-    acols = np.zeros((m, total))
+    # Only the structural columns are stored; slack i is the unit column e_i,
+    # which every product below adds by hand. The block is padded with zero
+    # columns to a width that is a multiple of 4: OpenBLAS's gemv sends the
+    # last width mod 4 output columns through a different rounding path, and
+    # the padding keeps every structural column on the path it takes when
+    # the slack columns are stored after it, so no product changes a bit.
+    amat = np.zeros((m, -(-n // 4) * 4))
     b = np.zeros(m)
     scales = np.ones(m)
     for i, (coeffs, rhs) in enumerate(rows):
@@ -125,27 +140,26 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
             if not math.isfinite(coef):
                 raise ValueError("row %d has non-finite coefficient %r on "
                                  "variable %d" % (i, coef, v))
-            acols[i, v] = coef
+            amat[i, v] = coef
         if coeffs:
             scales[i] = max(1.0, max(abs(coef) for coef in coeffs.values()))
         b[i] = rhs
-        acols[i, n + i] = 1.0
     # equilibrate: lifted cuts can carry coefficients orders of magnitude
     # above the clique rows, which wrecks basis conditioning. Dividing a
     # row by its largest entry changes nothing about the feasible set.
-    nonzero = acols[:, :n] != 0
-    acols[:, :n] /= scales[:, None]
+    nonzero = amat[:, :n] != 0
+    amat /= scales[:, None]
     b /= scales
     # the ratio tests skip pivots within PIVOT_TOL of zero, so a smaller
     # nonzero coefficient, given or left by the division (which can
     # underflow to 0), would be read as 0 and the reported optimum could
     # be wrong
-    tiny = np.argwhere(nonzero & (np.abs(acols[:, :n]) < PIVOT_TOL))
+    tiny = np.argwhere(nonzero & (np.abs(amat[:, :n]) < PIVOT_TOL))
     if tiny.size:
         i, v = (int(k) for k in tiny[0])
         raise ValueError("row %d has coefficient %r on variable %d, of size "
                          "%g after row equilibration, below PIVOT_TOL=%g"
-                         % (i, rows[i][0][v], v, abs(float(acols[i, v])),
+                         % (i, rows[i][0][v], v, abs(float(amat[i, v])),
                             PIVOT_TOL))
 
     c = np.zeros(total)
@@ -183,26 +197,38 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     def reduced_costs():
         if "d" not in priced:
             y = c[basis] @ binv
-            priced["d"] = c - y @ acols
+            # slack i costs 0 and its column e_i prices at y[i]
+            priced["d"] = np.concatenate((c[:n] - (y @ amat)[:n], 0.0 - y))
         return priced["d"]
 
     def pivot_row(r):
         key = ("row", r)
         if key not in priced:
-            priced[key] = binv[r] @ acols
+            priced[key] = np.concatenate(((binv[r] @ amat)[:n], binv[r]))
         return priced[key]
 
     def column(j):
+        # a copy for a slack: pivot divides binv[r] in place while it reads
+        # the entering column
         key = ("col", j)
         if key not in priced:
-            priced[key] = binv @ acols[:, j]
+            priced[key] = binv @ amat[:, j] if j < n else binv[:, j - n].copy()
         return priced[key]
 
     def basic_solution(rhs):
-        # values of the basic variables with every nonbasic one at its bound
-        vals = np.where(at_upper, upper, 0.0)
-        vals[is_basic] = 0.0
-        return binv @ (rhs - acols @ vals)
+        # values of the basic variables with every nonbasic one at its
+        # bound; a nonbasic slack rests at 0, so only structurals count
+        vals = np.zeros(amat.shape[1])
+        vals[:n] = at_upper[:n] & ~is_basic[:n]
+        return binv @ (rhs - amat @ vals)
+
+    def basis_matrix(cols):
+        # the columns of a basis as stored, with its slacks as unit columns
+        mat = np.zeros((m, m))
+        slack = cols >= n
+        mat[:, ~slack] = amat[:, cols[~slack]]
+        mat[cols[slack] - n, np.flatnonzero(slack)] = 1.0
+        return mat
 
     def bound_violation(vec):
         # how far each basic value lies outside its bounds; <= 0 inside
@@ -236,7 +262,9 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     def refactor():
         nonlocal binv, xb, since_refactor
         priced.clear()
-        binv = np.linalg.inv(acols[:, basis])
+        # one inverse at a time: drop the old one before inverting
+        binv = None
+        binv = np.linalg.inv(basis_matrix(basis))
         xb = basic_solution(b_solve)
         since_refactor = 0
 
@@ -252,14 +280,12 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         at_upper[is_basic] = False
 
     def reset_to_slacks(with_nudge):
-        nonlocal nudged, b_solve, xb
+        nonlocal nudged, b_solve, xb, binv
         nudged = with_nudge
         b_solve = b + nudge if nudged else b
+        binv = None
         install(np.arange(n, total), np.eye(m), np.zeros(total, dtype=bool))
         xb = b_solve.copy()
-
-    # the walk starts from the all-slack basis with the nudge in place
-    reset_to_slacks(True)
 
     def dual_repair():
         # Restore primal feasibility of a dual feasible basis after the
@@ -323,28 +349,36 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
             reset_to_slacks(restart_nudged)
         since_refactor = 1
 
-    if warm is not None:
+    def warm_start():
+        # Installs the token's basis, extended by the slacks of the appended
+        # rows, and repairs it; False when the token does not fit or its
+        # basis is singular. The token basis was optimal for the exact right
+        # side of the prefix rows, so the solve runs without the nudge: old
+        # rows are already in bounds and only the appended slacks need dual
+        # steps. A failed repair restarts from slacks with the nudge.
+        nonlocal xb
         old_basis, old_at_upper = warm
         m_old = len(old_at_upper) - n
-        if (0 <= m_old <= m and len(old_basis) == m_old
+        if not (0 <= m_old <= m and len(old_basis) == m_old
                 and len(set(old_basis)) == m_old
                 and all(0 <= v < n + m_old for v in old_basis)):
-            cand = np.array(list(old_basis) + list(range(n + m_old, total)),
-                            dtype=np.intp)
-            try:
-                inv = np.linalg.inv(acols[:, cand])
-            except np.linalg.LinAlgError:
-                inv = None
-            if inv is not None:
-                # the token basis was optimal for the exact right side of
-                # the prefix rows, so solve without the nudge: old rows are
-                # already in bounds and only the appended slacks need dual
-                # steps. A failed repair restarts from slacks with the nudge.
-                at_upper = np.zeros(total, dtype=bool)
-                at_upper[:n + m_old] = np.asarray(old_at_upper, dtype=bool)
-                install(cand, inv, at_upper)
-                xb = basic_solution(b)
-                repair(True)
+            return False
+        cand = np.array(list(old_basis) + list(range(n + m_old, total)),
+                        dtype=np.intp)
+        flags = np.zeros(total, dtype=bool)
+        flags[:n + m_old] = np.asarray(old_at_upper, dtype=bool)
+        try:
+            install(cand, np.linalg.inv(basis_matrix(cand)), flags)
+        except np.linalg.LinAlgError:
+            return False
+        xb = basic_solution(b)
+        repair(True)
+        return True
+
+    # without a warm basis that fits, the walk starts from the all-slack
+    # basis with the nudge in place
+    if warm is None or not warm_start():
+        reset_to_slacks(True)
 
     while iterations < max_iterations:
         iterations += 1

@@ -316,12 +316,10 @@ BAD_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_file_is_one_line_not_a_traceback(case, tmp_path):
-    # a missing or malformed file named on the command line ends the
-    # command with exit status 1 and one line on stderr naming the file,
-    # as the stabcut script runs it; these used to end in a traceback
-    argv, named = BAD_INPUTS[case]
+def assert_one_line_error(argv, named, tmp_path):
+    """Runs the stabcut script on argv in tmp_path, next to the input files
+    the cases name, and checks for exit status 1, an empty stdout and one
+    stderr line that starts with named."""
     (tmp_path / "c5.clq").write_text(serialize_dimacs(c5()))
     (tmp_path / "bad.clq").write_text("p edge 3 1\ne 1 9\n")
     (tmp_path / "bad.json").write_text('{"n": 3, "steps": []}')
@@ -338,6 +336,34 @@ def test_bad_input_file_is_one_line_not_a_traceback(case, tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
     assert lines[0].startswith(named + ": ")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_file_is_one_line_not_a_traceback(case, tmp_path):
+    # a missing or malformed file named on the command line ends the
+    # command with exit status 1 and one line on stderr naming the file,
+    # as the stabcut script runs it; these used to end in a traceback
+    argv, named = BAD_INPUTS[case]
+    assert_one_line_error(argv, named, tmp_path)
+
+
+BAD_NUMBERS = {
+    "point": (["separate", "c5.clq", "--point", "0.5,x,0.5,0.5,0.5"],
+              "--point"),
+    "lift seed": (["facet-check", "trace.json", "--find", "--lift-seed",
+                   "1,a"], "--lift-seed"),
+    "sizes": (["bench", "--sizes", "8,x", "--densities", "0.5"], "--sizes"),
+    "densities": (["bench", "--sizes", "8", "--densities", "0.5,half"],
+                  "--densities"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+def test_non_numeric_option_is_one_line_not_a_traceback(case, tmp_path):
+    # a list option with a part that is not a number is a usage error that
+    # names the option; these used to end in a ValueError traceback
+    argv, named = BAD_NUMBERS[case]
+    assert_one_line_error(argv, named, tmp_path)
 
 
 def test_facet_check_needs_witness_or_find(capsys, tmp_path):

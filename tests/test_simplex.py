@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from reference_simplex import reference_lp_solve
 from stabcut import engine
 from stabcut.benchmarks import BENCHMARKS
 from stabcut.graph import random_graph
+from stabcut.lifting import clique_inequality
 from stabcut.simplex import PIVOT_TOL, LpResult, _ratio_test, lp_solve
 
 
@@ -368,6 +370,83 @@ def test_reused_products_change_no_bit_on_hamming_rounds():
     calls = record_engine_lps(BENCHMARKS["hamming6-4"]().complement(),
                               "basic", 14)
     assert sum(res.flips for *_, res in calls) > 1000
+    for n, rows, warm, res in calls:
+        assert same_result(res, reference_lp_solve(n, rows, warm=warm))
+
+
+def padded_lps():
+    """(n, rows, objective) of packing LPs whose n is 1, 2 and 3 mod 4,
+    where lp_solve pads its stored columns, with m from 300 to 1,000."""
+    rng = random.Random(44)
+    for m, n in ((300, 41), (650, 62), (1000, 83)):
+        rows = []
+        for _ in range(m):
+            support = rng.sample(range(n), rng.randint(2, 7))
+            if rng.random() < 0.7:
+                rows.append(({v: 1 for v in support}, 1))
+            else:
+                rows.append(({v: rng.randint(1, 4) for v in support},
+                             rng.randint(2, 6)))
+        objective = [rng.choice([1.0, 1.0, 0.5, 2.0]) for _ in range(n)]
+        yield n, rows, objective
+
+
+def test_padded_columns_change_no_bit():
+    # lp_solve stores the structural columns padded with zero columns to a
+    # multiple of 4 and keeps slacks implicit; the reference stores every
+    # column. Cold solves and warm solves from the first nine tenths of the
+    # rows must match it to the last bit.
+    for n, rows, objective in padded_lps():
+        assert n % 4
+        prefix = lp_solve(n, rows[:len(rows) * 9 // 10], objective=objective)
+        for warm in (None, prefix.start):
+            res = lp_solve(n, rows, objective=objective, warm=warm)
+            assert res.status == "optimal"
+            assert same_result(res, reference_lp_solve(
+                n, rows, objective=objective, warm=warm))
+
+
+def cover_lp(name):
+    """(n, rows) of the edge clique cover LP the engine starts from on the
+    complement of a named instance."""
+    g = BENCHMARKS[name]().complement()
+    ineqs = [clique_inequality(w) for w in engine.edge_clique_cover(g)]
+    return g.n, [(dict(q.coeffs), q.rhs) for q in ineqs]
+
+
+def traced_peak(solve):
+    """Peak traced memory of solve() above the level it starts from."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        solve()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_basis_inverse_is_live():
+    # Slacks are implicit and an inversion drops the old inverse first, so
+    # the peak is the m x m basis matrix and its inverse plus the m x 200
+    # structural block: 2.77 m^2 doubles here, cold and warm. Storing the
+    # slack columns and keeping a second inverse alive took 4.77 cold and
+    # 5.77 warm.
+    n, rows = cover_lp("c-fat200-1")
+    m = len(rows)
+    assert m == 317
+    token = lp_solve(n, rows[:m // 2]).start
+    for warm in (None, token):
+        peak = traced_peak(lambda: lp_solve(n, rows, warm=warm))
+        assert peak < 3.5 * 8 * m * m, (warm is None, peak / (8 * m * m))
+
+
+def test_reused_products_change_no_bit_on_cfat_close():
+    # every LP of the benchmark's c-fat200-1 basic 2-round run: 200
+    # columns, 317 to 392 rows and 3,911 iterations, almost all of them
+    # pivots, with two warm starts
+    calls = record_engine_lps(BENCHMARKS["c-fat200-1"]().complement(),
+                              "basic", 2)
+    assert len(calls) == 3 and sum(res.iterations for *_, res in calls) > 3000
     for n, rows, warm, res in calls:
         assert same_result(res, reference_lp_solve(n, rows, warm=warm))
 
