@@ -283,6 +283,10 @@ def test_warm_starts_match_cold_solves(warm_chain):
     repeated = ([basis[0]] + basis[:-1], at_upper)
     assert len(set(repeated[0])) < len(repeated[0])
     assert lp_solve(n, rows, warm=repeated) == lp_solve(n, rows)
+    # so is one whose basis is singular: columns 0 and 1 agree on both
+    # prefix rows
+    rows = [({0: 1, 1: 1}, 1), ({0: 1, 1: 1}, 1), ({0: 1}, 0.5)]
+    assert lp_solve(2, rows, warm=([0, 1], [False] * 4)) == lp_solve(2, rows)
 
 
 def assert_matches_highs(linprog, n, rows, objective, res):
