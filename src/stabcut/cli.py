@@ -89,8 +89,6 @@ def _parse_procs(text: str):
             raise SystemExit("unknown procedure %r; pick from c,b,s" % part)
         if PROCEDURES[part] not in procs:
             procs.append(PROCEDURES[part])
-    if not procs:
-        raise SystemExit("empty procedure list")
     return procs
 
 
@@ -318,14 +316,13 @@ def cmd_verify(args) -> int:
             else:
                 ineq = Inequality.from_json(text)
                 replay = ""
-        except Exception as exc:
-            rows.append([path, "error: %s" % exc, "", "", "", "", "", ""])
-            ok = False
-            continue
-        try:
             report = check_validity(g, ineq, time_budget=args.time_limit)
         except LiftingAborted:
             rows.append([path, "unverified", "", "", "", replay, "", ""])
+            ok = False
+            continue
+        except Exception as exc:
+            rows.append([path, "error: %s" % exc, "", "", "", "", "", ""])
             ok = False
             continue
         verdict = "valid" if report.valid else "INVALID"
@@ -349,6 +346,15 @@ def cmd_facet_check(args) -> int:
     with _reading(args.trace), open(args.trace) as fh:
         trace = trace_from_json(fh.read())
     seed = _parse_vertices(args.lift_seed) if args.lift_seed else None
+    if seed is not None:
+        for v in seed:
+            if not 0 <= v < trace.base.n:
+                raise SystemExit("--lift-seed: vertex %d is not in 0..%d"
+                                 % (v, trace.base.n - 1))
+        # the witness's cut is lifted from the seed, which --find only tests
+        if args.witness and not (seed and trace.final_graph.is_clique(seed)):
+            raise SystemExit("--lift-seed: %s is not a clique of the final "
+                             "graph" % args.lift_seed)
     if args.witness:
         with _reading(args.witness), open(args.witness) as fh:
             payload = json.load(fh)
@@ -483,12 +489,12 @@ def _add_param_flags(sub):
     sub.add_argument("--tomita-period", type=_positive_int, default=None,
                      help="use bounded exact clique enumeration every k-th "
                           "projection")
+    sub.add_argument("--seed", type=int, default=0)
 
 
 def _add_common(sub, complement_default):
     sub.add_argument("--format", choices=["csv", "json", "text"],
                      default="csv")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--time-limit", type=_time_limit, default=120.0,
                      help="seconds; inf for no limit")
     if complement_default:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .graph import Graph, mask_of
+from .graph import Graph, bits, mask_of
 from .lifting import Inequality, LiftedCut, clique_inequality
 from .mwss import enumerate_stable_sets
 from .projection import ProjectionTrace
@@ -80,25 +79,19 @@ class DimensionCertificate:
 
 
 def _restricted(trace, witness, t):
-    """Level-t view: classes cut down to the first t cliques' union, outside
-    widened to everything not yet touched."""
-    union = set()
-    for w in trace.cliques[:t]:
-        union.update(w)
-    classes = [tuple(v for v in c if v in union) for c in witness.classes]
-    outside = [v for v in range(trace.base.n) if v not in union]
-    return classes, outside
+    """Level-t view as masks: classes cut down to the first t cliques' union,
+    outside widened to everything not yet touched."""
+    union = mask_of(v for w in trace.cliques[:t] for v in w)
+    classes = [mask_of(c) & union for c in witness.classes]
+    return classes, trace.base.full_mask & ~union
 
 
 def check_interWV(witness: FacetWitness, t: int) -> bool:
     """Each of the first t cliques meets every class exactly once."""
-    for w in witness.hyperedges[:t]:
-        if len(w) != witness.k:
-            return False
-        for c in witness.classes:
-            if len(set(w) & set(c)) != 1:
-                return False
-    return True
+    classes = [mask_of(c) for c in witness.classes]
+    return all(len(w) == witness.k
+               and all((mask_of(w) & c).bit_count() == 1 for c in classes)
+               for w in witness.hyperedges[:t])
 
 
 def check_condition_I(trace: ProjectionTrace, witness: FacetWitness,
@@ -109,11 +102,7 @@ def check_condition_I(trace: ProjectionTrace, witness: FacetWitness,
         return False
     g = trace.graph_at(t - 1)
     classes, _ = _restricted(trace, witness, t)
-    for c in classes:
-        for u, v in combinations(c, 2):
-            if g.has_edge(u, v):
-                return False
-    return True
+    return all(g.is_stable(c) for c in classes)
 
 
 def check_strong_hypertree(witness: FacetWitness, t: int = None) -> bool:
@@ -124,8 +113,8 @@ def check_strong_hypertree(witness: FacetWitness, t: int = None) -> bool:
     if not edges:
         return True
     k = witness.k
-    start = frozenset(frozenset(w) for w in edges)
-    verts = frozenset(v for w in edges for v in w)
+    start = frozenset(mask_of(w) for w in edges)
+    verts = mask_of(v for w in edges for v in w)
     memo = {}
 
     def solve(vs, es):
@@ -138,13 +127,15 @@ def check_strong_hypertree(witness: FacetWitness, t: int = None) -> bool:
             result = False
             for wi in es:
                 rest = es - {wi}
-                if not any(len(wi & wj) == k - 1 for wj in rest):
+                if not any((wi & wj).bit_count() == k - 1 for wj in rest):
                     continue
-                covered = frozenset(v for w in rest for v in w)
-                private = wi - covered
-                if len(private) != 1:
+                covered = 0
+                for w in rest:
+                    covered |= w
+                private = wi & ~covered
+                if private.bit_count() != 1:
                     continue
-                if solve(vs - private, rest):
+                if solve(vs & ~private, rest):
                     result = True
                     break
         memo[key] = result
@@ -159,14 +150,7 @@ def check_condition_III(trace: ProjectionTrace, witness: FacetWitness,
     members neighbor it in the graph of the t-th projection."""
     g = trace.graph_at(t - 1)
     classes, outside = _restricted(trace, witness, t)
-    for w in outside:
-        if not any(all(not g.has_edge(w, v) for v in c) for c in classes):
-            return False
-    return True
-
-
-def _tree_adjacent(cliques, k, a, b):
-    return len(set(cliques[a]) & set(cliques[b])) == k - 1
+    return all(any(not g.adj[w] & c for c in classes) for w in bits(outside))
 
 
 def condition_iv_holds_for(trace: ProjectionTrace, witness: FacetWitness,
@@ -176,25 +160,19 @@ def condition_iv_holds_for(trace: ProjectionTrace, witness: FacetWitness,
     containing v has a tree-neighbor W_t' not containing v with a class-i
     vertex already adjacent to w when step t' was performed, with W_t a
     clique of that same graph."""
-    g = trace.base
-    if g.has_edge(v, w):
+    if trace.base.has_edge(v, w):
         return True
-    cliques = trace.cliques
-    k = witness.k
-    vi = set(witness.classes[i])
-    for t in range(1, trace.r + 1):
-        wt = cliques[t - 1]
-        if v not in wt:
+    bit = 1 << v
+    vi = mask_of(witness.classes[i])
+    for wt in trace.masks:
+        if not wt & bit:
             continue
-        for tp in range(1, trace.r + 1):
-            if tp == t or not _tree_adjacent(cliques, k, t - 1, tp - 1):
+        # the tree neighbors of W_t not containing v; W_t itself contains v
+        for tp, wp in enumerate(trace.masks):
+            if wp & bit or (wt & wp).bit_count() != witness.k - 1:
                 continue
-            if v in cliques[tp - 1]:
-                continue
-            gp = trace.graph_at(tp - 1)
-            if not gp.is_clique(wt):
-                continue
-            if any(vp in vi and gp.has_edge(vp, w) for vp in cliques[tp - 1]):
+            gp = trace.graph_at(tp)
+            if gp.is_clique(wt) and gp.adj[w] & wp & vi:
                 return True
     return False
 
@@ -203,38 +181,30 @@ def check_condition_IV(trace: ProjectionTrace, witness: FacetWitness) -> bool:
     """Every final-graph edge from an outside vertex into one of the first
     k-1 classes must be routable per pair."""
     gr = trace.final_graph
-    for i in range(witness.k - 1):
-        for w in witness.outside:
-            for v in witness.classes[i]:
-                if gr.has_edge(v, w):
-                    if not condition_iv_holds_for(trace, witness, v, w, i):
-                        return False
-    return True
+    outside = mask_of(witness.outside)
+    return all(condition_iv_holds_for(trace, witness, v, w, i)
+               for i in range(witness.k - 1) for v in witness.classes[i]
+               for w in bits(gr.adj[v] & outside))
 
 
 def check_condition_V(trace: ProjectionTrace, witness: FacetWitness) -> bool:
     """No vertex of the last class touches an outside vertex in the final
     projected graph."""
     gr = trace.final_graph
-    for v in witness.classes[-1]:
-        if any(gr.has_edge(v, w) for w in witness.outside):
-            return False
-    return True
+    outside = mask_of(witness.outside)
+    return not any(gr.adj[v] & outside for v in witness.classes[-1])
 
 
 def check_seed(trace: ProjectionTrace, witness: FacetWitness, seed) -> bool:
     """The seed must be a maximal clique of the final graph avoiding the last
     class entirely."""
     gr = trace.final_graph
-    if not seed or not gr.is_clique(seed):
-        return False
-    if set(seed) & set(witness.classes[-1]):
-        return False
     smask = mask_of(seed)
-    for v in range(gr.n):
-        if not smask >> v & 1 and gr.adj[v] & smask == smask:
-            return False
-    return True
+    if not smask or not gr.is_clique(smask) \
+            or smask & mask_of(witness.classes[-1]):
+        return False
+    return not any(gr.adj[v] & smask == smask
+                   for v in bits(gr.full_mask & ~smask))
 
 
 def _affine_basis(points):
@@ -309,11 +279,9 @@ def verify_class_equality(g: Graph, trace: ProjectionTrace,
     """On every integral point of the level-t face, all members of a class
     take the same value. The classes are taken as given, so pass a witness
     restricted to the level being checked."""
-    for mask in _face_masks(g, trace.cliques[:t]):
-        for c in witness.classes:
-            if len({mask >> v & 1 for v in c}) > 1:
-                return False
-    return True
+    classes = [mask_of(c) for c in witness.classes]
+    return all(mask & c in (0, c) for mask in _face_masks(g, trace.cliques[:t])
+               for c in classes)
 
 
 def verify_isomorphism(g: Graph, trace: ProjectionTrace,
@@ -328,42 +296,29 @@ def verify_isomorphism(g: Graph, trace: ProjectionTrace,
         raise ValueError("no representative set given")
     witness = FacetWitness.build(g.n, witness.k, witness.classes,
                                  witness.hyperedges, rep)
-    rep = witness.representative
-    gr = trace.final_graph
-    keep = sorted(set(witness.outside) | set(rep))
-    sub, back = gr.induced_subgraph(keep)
-    pos = {orig: idx for idx, orig in enumerate(back)}
-    sub_points = set(enumerate_stable_sets(sub))
+    rep = mask_of(witness.representative)
+    outside = mask_of(witness.outside)
+    keep = outside | rep
+    sub_points = {s for s in enumerate_stable_sets(trace.final_graph)
+                  if not s & ~keep}
     face = _face_masks(g, trace.cliques)
     if len(face) != len(sub_points) \
             or not verify_class_equality(g, trace, witness, trace.r):
         return False
-    reps = []
-    for c in witness.classes[:-1]:
-        reps.append((set(rep) & set(c)).pop())
+    classes = [mask_of(c) for c in witness.classes]
     images = set()
     for mask in face:
-        y = 0
-        for w in witness.outside:
-            y |= (mask >> w & 1) << pos[w]
-        for rv in reps:
-            y |= (mask >> rv & 1) << pos[rv]
+        y = mask & keep
         if y not in sub_points or y in images:
             return False
         images.add(y)
-        # rebuild the face point from its image and insist it round-trips
-        total = sum(y >> pos[rv] & 1 for rv in reps)
-        if total > 1:
+        # rebuild the face point from its image and insist it round-trips:
+        # the class of the one representative in y, else the last class
+        chosen = y & rep
+        if chosen.bit_count() > 1:
             return False
-        rebuilt = 0
-        for w in witness.outside:
-            rebuilt |= (y >> pos[w] & 1) << w
-        for rv, c in zip(reps, witness.classes):
-            bit = y >> pos[rv] & 1
-            for v in c:
-                rebuilt |= bit << v
-        for v in witness.classes[-1]:
-            rebuilt |= (1 - total) << v
+        rebuilt = y & outside | next((c for c in classes if c & chosen),
+                                     classes[-1])
         if rebuilt != mask:
             return False
     return images == sub_points

@@ -100,8 +100,14 @@ class Inequality:
 
     @classmethod
     def from_json(cls, text: str) -> Inequality:
+        """Read to_json's form; every coefficient and the right side must be
+        a JSON number."""
         payload = json.loads(text)
-        return cls({int(v): c for v, c in payload["coeffs"].items()}, payload["rhs"])
+        coeffs, rhs = payload["coeffs"], payload["rhs"]
+        for c in list(coeffs.values()) + [rhs]:
+            if type(c) not in (int, float):
+                raise ValueError("%r is not an int or a float" % (c,))
+        return cls({int(v): c for v, c in coeffs.items()}, rhs)
 
 
 def clique_inequality(w) -> Inequality:
@@ -157,10 +163,8 @@ def _lift(trace, seed, procedure, solve_step):
 
 def _basic_step(trace, t, f, max_nodes):
     g = trace.graph_at(t - 1)
-    return max_weight_stable_set(
-        g, f.as_weights(g.n),
-        within=~trace.masks[t - 1],
-        max_nodes=max_nodes)
+    return max_weight_stable_set(g, f.as_weights(g.n), avoid=trace.masks[t - 1],
+                                 max_nodes=max_nodes)
 
 
 def _strengthened_step(trace, t, f, max_nodes):
@@ -231,7 +235,11 @@ def check_validity(g: Graph, ineq: Inequality, time_budget=None,
                    max_nodes=None) -> ValidityReport:
     """Exact validity of ineq over the stable sets of g, by branch and bound
     over its positive support; the reported witness attains lhs_max. Raises
-    LiftingAborted when the search runs out of seconds or nodes."""
+    ValueError for a vertex outside 0..n-1, and LiftingAborted when the
+    search runs out of seconds or nodes."""
+    for v in ineq.coeffs:
+        if not 0 <= v < g.n:
+            raise ValueError("vertex %d is not in 0..%d" % (v, g.n - 1))
     res = max_weight_stable_set(g, ineq.as_weights(g.n),
                                 time_budget=time_budget, max_nodes=max_nodes)
     if not res.proven_optimal:

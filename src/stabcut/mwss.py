@@ -135,7 +135,6 @@ def _search(adj, weights, classes, covers, budget):
                     rec(chosen | bit, free & ~(adj[v] | bit), val + weights[v], unsat)
                     rec(chosen, free & ~bit, val, unsat)
                     return
-            return
         cands = unsat[0] & free
         if not cands or (best_mask is not None and _partition_bound(
                 adj, positive_classes, free & positive, val, best_val + EPS)):
@@ -184,12 +183,11 @@ def _solve(g: Graph, weights, covers, avoid, budget) -> MwssResult:
                       nodes=budget.nodes)
 
 
-def max_weight_stable_set(g: Graph, weights, within=None, time_budget=None,
+def max_weight_stable_set(g: Graph, weights, avoid=0, time_budget=None,
                           max_nodes=None) -> MwssResult:
-    """Heaviest stable set of g, inside the within mask when one is given.
-    Vertices with weight <= 0 are dropped up front, so returned sets
-    contain only positive weights."""
-    avoid = 0 if within is None else g.full_mask & ~within
+    """Heaviest stable set of g with no vertex of the avoid mask. Vertices
+    with weight <= 0 are dropped up front, so returned sets contain only
+    positive weights."""
     return _solve(g, weights, (), avoid, _Budget(time_budget, max_nodes))
 
 

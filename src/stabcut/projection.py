@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass
 
 from .graph import Graph, bits, mask_of
-from .mwss import maximum_stable_set
+from .mwss import max_weight_stable_set
 
 
 def clique_project(g: Graph, w):
@@ -123,11 +123,11 @@ def is_projectable_edge(g: Graph, u: int, v: int) -> bool:
     neighborhood of u (or of v) costs only the one vertex."""
     if not g.has_edge(u, v):
         raise ValueError("(%d, %d) is not an edge" % (u, v))
-    alpha = maximum_stable_set(g).best_value
+    ones = [1] * g.n
+    alpha = max_weight_stable_set(g, ones).best_value
     for x in (u, v):
-        rest = g.full_mask & ~(g.adj[x] | (1 << x))
-        sub, _ = g.induced_subgraph(rest)
-        if maximum_stable_set(sub).best_value + 1 == alpha:
+        rest = max_weight_stable_set(g, ones, avoid=g.adj[x] | 1 << x)
+        if rest.best_value + 1 == alpha:
             return True
     return False
 

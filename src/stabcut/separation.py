@@ -100,9 +100,9 @@ def _next_from_enumeration(trace, point, tried, params):
     """Replacement pick: enumerate maximal cliques of the current graph and
     take the heaviest one not already tried, with a hard attempt cap."""
     cliques = enumerate_cliques_bounded(trace.final_graph, point, TOMITA_LIMIT)
-    previous = {frozenset(w) for w in trace.cliques}
+    previous = set(trace.masks)
     for w in cliques[:4 * params.max_depth]:
-        key = frozenset(w)
+        key = mask_of(w)
         if key in tried or key in previous:
             continue
         tried.add(key)

@@ -227,6 +227,28 @@ def test_verify_malformed_file(capsys, tmp_path):
     assert parse_csv(out)[0]["verdict"].startswith("error:")
 
 
+def test_verify_reports_unreadable_vertices_and_numbers(capsys, tmp_path):
+    # vertex -1 used to index the weight list from its end and be read as
+    # vertex 4, and vertex 99 or a coefficient or right side that is a
+    # string ended in a traceback; each is now the file's error row
+    files = {"negative.json": {"coeffs": {"-1": 1, "2": 1}, "rhs": 1},
+             "large.json": {"coeffs": {"99": 1, "2": 1}, "rhs": 1},
+             "text_coeff.json": {"coeffs": {"0": "1", "2": 1}, "rhs": 1},
+             "text_rhs.json": {"coeffs": {"0": 1, "2": 1}, "rhs": "x"},
+             "edge.json": {"coeffs": {"0": 1, "1": 1}, "rhs": 1}}
+    paths = []
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+        paths.append(str(tmp_path / name))
+    code, out, _ = run_cli(capsys, "verify", c5_file(tmp_path), *paths)
+    assert code == 1
+    rows = parse_csv(out)
+    assert [r["verdict"] for r in rows] == [
+        "error: vertex -1 is not in 0..4", "error: vertex 99 is not in 0..4",
+        "error: '1' is not an int or a float",
+        "error: 'x' is not an int or a float", "valid"]
+
+
 def example8_trace_file(tmp_path):
     g = Graph(8, EXAMPLE8_EDGES, name="demo8")
     trace = ProjectionTrace(g)
@@ -316,14 +338,16 @@ BAD_INPUTS = {
 }
 
 
-def assert_one_line_error(argv, named, tmp_path):
+def one_line_error(argv, tmp_path):
     """Runs the stabcut script on argv in tmp_path, next to the input files
-    the cases name, and checks for exit status 1, an empty stdout and one
-    stderr line that starts with named."""
+    the cases name, checks for exit status 1, an empty stdout and one stderr
+    line, and returns that line."""
     (tmp_path / "c5.clq").write_text(serialize_dimacs(c5()))
     (tmp_path / "bad.clq").write_text("p edge 3 1\ne 1 9\n")
     (tmp_path / "bad.json").write_text('{"n": 3, "steps": []}')
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "witness.json").write_text(json.dumps(
+        {"classes": [[1, 3], [2, 4], [0]], "representative": [1, 2]}))
     (tmp_path / "sub").mkdir()
     example8_trace_file(tmp_path)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -335,7 +359,12 @@ def assert_one_line_error(argv, named, tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1, proc.stderr
-    assert lines[0].startswith(named + ": ")
+    return lines[0]
+
+
+def assert_one_line_error(argv, named, tmp_path):
+    """one_line_error, with a line that starts with named."""
+    assert one_line_error(argv, tmp_path).startswith(named + ": ")
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -364,6 +393,56 @@ def test_non_numeric_option_is_one_line_not_a_traceback(case, tmp_path):
     # names the option; these used to end in a ValueError traceback
     argv, named = BAD_NUMBERS[case]
     assert_one_line_error(argv, named, tmp_path)
+
+
+BAD_USAGE = {
+    "unknown procedure": (["bound", "c5.clq", "--proc", "x"],
+                          "unknown procedure 'x'; pick from c,b,s"),
+    "empty procedure": (["bound", "c5.clq", "--proc", ","],
+                        "unknown procedure ''; pick from c,b,s"),
+    "point entry above 1": (["separate", "c5.clq", "--point",
+                             "0.5,0.5,1.5,0.5,0.5"],
+                            "point entry 1.5 outside [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_USAGE))
+def test_usage_error_is_one_line(case, tmp_path):
+    # a procedure list or point that parses but is out of range is a usage
+    # error, reported in one line that the option's checks word
+    argv, line = BAD_USAGE[case]
+    assert one_line_error(argv, tmp_path) == line
+
+
+BAD_LIFT_SEEDS = {
+    "negative vertex, find": ["--find", "--lift-seed=-1,4"],
+    "negative vertex, witness": ["--witness", "witness.json",
+                                 "--lift-seed=-1,4"],
+    "vertex past n, find": ["--find", "--lift-seed", "1,99"],
+    "vertex past n, witness": ["--witness", "witness.json",
+                               "--lift-seed", "1,99"],
+    "no clique, witness": ["--witness", "witness.json", "--lift-seed", "0,7"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LIFT_SEEDS))
+def test_lift_seed_outside_the_trace_is_one_line(case, tmp_path):
+    # a negative vertex ended in "negative shift count", a seed the witness
+    # cut could not be lifted from in a ValueError traceback, and a vertex
+    # past n with --find in "found 0 witnesses" and exit status 0
+    argv = ["facet-check", "trace.json"] + BAD_LIFT_SEEDS[case]
+    assert_one_line_error(argv, "--lift-seed", tmp_path)
+
+
+def test_find_with_a_seed_that_is_no_clique_finds_nothing(capsys, tmp_path):
+    # --find tests the seed as one of the conditions, so an in-range seed
+    # that is not a clique of the final graph leaves no witness
+    code, out, err = run_cli(capsys, "facet-check",
+                             example8_trace_file(tmp_path), "--find",
+                             "--lift-seed", "0,7", "--format", "json")
+    assert code == 0
+    assert err == "found 0 witnesses\n"
+    assert json.loads(out) == []
 
 
 def test_facet_check_needs_witness_or_find(capsys, tmp_path):

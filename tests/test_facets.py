@@ -1,10 +1,12 @@
+import hashlib
 import random
+from itertools import product
 
 from conftest import (EXAMPLE8_SEED, EXAMPLE8_W1, EXAMPLE8_W2, EXAMPLE8_W3,
-                      random_trace)
+                      random_maximal_clique, random_trace)
 
 from stabcut.cliques import enumerate_cliques_bounded
-from stabcut.facets import (FacetWitness, assert_facet_of_Ft,
+from stabcut.facets import (WITNESS_MAX_K, FacetWitness, assert_facet_of_Ft,
                             check_condition_I, check_condition_IV,
                             check_condition_V, check_condition_III,
                             check_interWV, check_seed, check_strong_hypertree,
@@ -323,3 +325,65 @@ def test_face_dimension_invariant_under_relabeling(example8):
     peqs = [clique_inequality(tuple(perm[v] for v in w)) for w in cliques]
     assert face_dimension(example8, eqs).affine_dim == \
         face_dimension(relabeled, peqs).affine_dim
+
+
+def test_facet_checkers_keep_recorded_verdicts():
+    # The digest pins the checkers' verdicts on seeded random traces whose
+    # cliques share one size k <= 3: per level, interWV, I, II, III and class
+    # equality; condition IV per class vertex and outside vertex; the
+    # condition report under a random maximal seed; the isomorphism for every
+    # valid representative; and the labelings find_witnesses returns. Three
+    # random labelings per trace fail some condition nearly always; the
+    # found witnesses are labelings that pass them all.
+    rng = random.Random(20261021)
+    h = hashlib.sha256()
+    traces = passed = 0
+    failing = dict.fromkeys(("interWV", "I", "II", "III", "IV", "V", "seed"), 0)
+    iso = {True: 0, False: 0}
+    for trial in range(300):
+        n = rng.randrange(5, 10)
+        g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), seed=40000 + trial)
+        trace = random_trace(g, rng, max_steps=3)
+        sizes = {len(w) for w in trace.cliques}
+        if len(sizes) != 1 or max(sizes) > WITNESS_MAX_K:
+            continue
+        traces += 1
+        k = sizes.pop()
+        r = trace.r
+        seed = random_maximal_clique(trace.final_graph, rng)
+        universe = sorted({v for w in trace.cliques for v in w})
+        labelings = []
+        for _ in range(3):
+            labels = [rng.randrange(k) for _ in universe]
+            labelings.append([[v for v, c in zip(universe, labels) if c == i]
+                              for i in range(k)])
+        found = find_witnesses(trace, seed)
+        labelings += [w.classes for w, _ in found]
+        for classes in labelings:
+            witness = witness_from_trace(trace, classes)
+            levels = [(check_interWV(witness, t),
+                       check_condition_I(trace, witness, t),
+                       check_strong_hypertree(witness, t),
+                       check_condition_III(trace, witness, t))
+                      for t in range(1, r + 1)]
+            equal = [verify_class_equality(g, trace, witness, t)
+                     for t in range(r + 1)]
+            routed = [condition_iv_holds_for(trace, witness, v, w, i)
+                      for i in range(k - 1) for v in witness.classes[i]
+                      for w in witness.outside]
+            report = condition_report(trace, witness, seed)
+            passed += all(report.values())
+            for key, verdict in report.items():
+                failing[key] += not verdict
+            h.update(repr((classes, levels, equal, routed,
+                           sorted(report.items()))).encode())
+            for rep in product(*witness.classes[:-1]):
+                ok = verify_isomorphism(g, trace, witness, representative=rep)
+                iso[ok] += 1
+                h.update(repr((rep, ok)).encode())
+    assert (traces, passed) == (140, 89)
+    assert failing == {"interWV": 276, "I": 279, "II": 72, "III": 51,
+                       "IV": 29, "V": 244, "seed": 167}
+    assert iso == {True: 103, False: 490}
+    assert h.hexdigest() == (
+        "70f059636509e756ab59475076ddab98a41c59233c6834afbd8379757dc6d3ce")

@@ -17,11 +17,11 @@ from stabcut.mwss import (
 )
 
 
-def brute_max(g, weights, within_mask=None):
+def brute_max(g, weights, avoid=0):
     """Independent oracle: scan every stable set."""
     best = 0
     for s in enumerate_stable_sets(g):
-        if within_mask is not None and s & ~within_mask:
+        if s & avoid:
             continue
         best = max(best, sum(weights[v] for v in range(g.n) if s >> v & 1))
     return best
@@ -65,16 +65,19 @@ def test_weighted_matches_enumeration_oracle():
         assert sum(weights[v] for v in r.best_set) == r.best_value
 
 
-def test_within_restriction():
+def test_avoid_restriction():
     rng = random.Random(7)
     for trial in range(15):
         n = rng.randint(5, 12)
         g = random_graph(n, 0.4, seed=500 + trial)
         weights = [rng.randint(1, 6) for _ in range(n)]
-        within = mask_of(v for v in range(n) if rng.random() < 0.6)
-        r = max_weight_stable_set(g, weights, within=within)
-        assert mask_of(r.best_set) & ~within == 0
-        assert r.best_value == brute_max(g, weights, within_mask=within)
+        avoid = mask_of(v for v in range(n) if rng.random() >= 0.6)
+        r = max_weight_stable_set(g, weights, avoid=avoid)
+        assert mask_of(r.best_set) & avoid == 0
+        assert r.best_value == brute_max(g, weights, avoid=avoid)
+    # the same check as solve_constrained's: the mask must lie in the graph
+    with pytest.raises(ValueError, match="avoid mask"):
+        max_weight_stable_set(g, [1] * g.n, avoid=1 << g.n)
 
 
 def test_one_weight_per_vertex():
@@ -319,7 +322,7 @@ def test_partition_bound_prunes_as_the_full_sum():
 def test_max_weight_stable_set_keeps_recorded_choices():
     # The digest pins every (best_set, best_value) over 400 seeded instances:
     # n from 1 to 45, densities 0.1 to 0.9, integer, quarter and real weights
-    # with some at or below zero, and a within mask on every second one.
+    # with some at or below zero, and an avoid mask on every second one.
     # Ties between equal optima and the float sums of real weights must not
     # move when the search changes.
     rng = random.Random(20261019)
@@ -334,10 +337,10 @@ def test_max_weight_stable_set_keeps_recorded_choices():
             weights = [rng.randint(-4, 12) / 4 for _ in range(n)]
         else:
             weights = [rng.uniform(-0.5, 2.0) for _ in range(n)]
-        within = None
+        avoid = 0
         if trial % 2:
-            within = mask_of(v for v in range(n) if rng.random() < 0.7)
-        r = max_weight_stable_set(g, weights, within=within)
+            avoid = mask_of(v for v in range(n) if rng.random() >= 0.7)
+        r = max_weight_stable_set(g, weights, avoid=avoid)
         assert r.proven_optimal and not r.infeasible
         h.update(repr((r.best_set, r.best_value)).encode())
     assert h.hexdigest() == (
