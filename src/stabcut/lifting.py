@@ -101,12 +101,12 @@ class Inequality:
     @classmethod
     def from_json(cls, text: str) -> Inequality:
         """Read to_json's form; every coefficient and the right side must be
-        a JSON number."""
+        a finite JSON number."""
         payload = json.loads(text)
         coeffs, rhs = payload["coeffs"], payload["rhs"]
         for c in list(coeffs.values()) + [rhs]:
-            if type(c) not in (int, float):
-                raise ValueError("%r is not an int or a float" % (c,))
+            if type(c) not in (int, float) or not math.isfinite(c):
+                raise ValueError("%r is not a finite int or float" % (c,))
         return cls({int(v): c for v, c in coeffs.items()}, rhs)
 
 

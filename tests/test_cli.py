@@ -229,12 +229,15 @@ def test_verify_malformed_file(capsys, tmp_path):
 
 def test_verify_reports_unreadable_vertices_and_numbers(capsys, tmp_path):
     # vertex -1 used to index the weight list from its end and be read as
-    # vertex 4, and vertex 99 or a coefficient or right side that is a
-    # string ended in a traceback; each is now the file's error row
+    # vertex 4, vertex 99 or a coefficient or right side that is a string
+    # ended in a traceback, and a NaN coefficient, which no stable set
+    # weight exceeds, read valid; each is now the file's error row
     files = {"negative.json": {"coeffs": {"-1": 1, "2": 1}, "rhs": 1},
              "large.json": {"coeffs": {"99": 1, "2": 1}, "rhs": 1},
              "text_coeff.json": {"coeffs": {"0": "1", "2": 1}, "rhs": 1},
              "text_rhs.json": {"coeffs": {"0": 1, "2": 1}, "rhs": "x"},
+             "nan_coeff.json": {"coeffs": {"0": float("nan"), "1": 1},
+                                "rhs": 1},
              "edge.json": {"coeffs": {"0": 1, "1": 1}, "rhs": 1}}
     paths = []
     for name, payload in files.items():
@@ -245,8 +248,9 @@ def test_verify_reports_unreadable_vertices_and_numbers(capsys, tmp_path):
     rows = parse_csv(out)
     assert [r["verdict"] for r in rows] == [
         "error: vertex -1 is not in 0..4", "error: vertex 99 is not in 0..4",
-        "error: '1' is not an int or a float",
-        "error: 'x' is not an int or a float", "valid"]
+        "error: '1' is not a finite int or float",
+        "error: 'x' is not a finite int or float",
+        "error: nan is not a finite int or float", "valid"]
 
 
 def example8_trace_file(tmp_path):
