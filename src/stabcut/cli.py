@@ -46,7 +46,6 @@ from .benchmarks import BENCHMARKS, KNOWN_OPTIMA
 from .engine import cutting_plane_run
 from .facets import (
     ORACLE_LIMIT,
-    _dimension_pair,
     condition_report,
     face_dimension,
     facet_report,
@@ -182,14 +181,12 @@ def _bound_job(job):
         return exc
 
 
-def _bound_row(g, alpha, procedure, rep, with_times):
-    counts = rep.cut_counts or {}
+def _bound_row(g, alpha, rep, with_times):
+    counts = [str(rep.cut_counts[k]) for k in ("clique", "rank", "weighted")]
     return [g.name or "?", str(g.n), "%.4f" % g.density(),
-            "" if alpha is None else str(alpha), procedure, "",
+            "" if alpha is None else str(alpha), rep.procedure, "",
             str(rep.lower_bound), "%.6f" % rep.z0, "%.6f" % rep.bound,
-            str(counts.get("clique", 0)), str(counts.get("rank", 0)),
-            str(counts.get("weighted", 0)), rep.status,
-            "%.2f" % rep.wall_time if with_times else ""]
+            *counts, rep.status, "%.2f" % rep.wall_time if with_times else ""]
 
 
 def _error_row(name, message):
@@ -242,8 +239,7 @@ def cmd_bound(args) -> int:
             rows.append(_error_row(name, str(outcome)))
             ok = False
             continue
-        rows.append(_bound_row(g, alpha, outcome.procedure, outcome,
-                               args.with_times))
+        rows.append(_bound_row(g, alpha, outcome, args.with_times))
         if outcome.status not in COMPLETED:
             ok = False
     _emit(rows, args.format)
@@ -331,8 +327,8 @@ def cmd_verify(args) -> int:
         viol = "%.6f" % ineq.violation(point) if point is not None else ""
         facet = ""
         if report.valid and g.n <= ORACLE_LIMIT:
-            whole, tight = _dimension_pair(g, (), ineq)
-            facet = str(tight == whole - 1)
+            # the stable set polytope of g has dimension n
+            facet = str(face_dimension(g, [ineq]).affine_dim == g.n - 1)
         witness = "" if report.valid else " ".join(map(str, report.witness))
         rows.append([path, verdict, str(report.lhs_max), str(ineq.rhs),
                      witness, replay, viol, facet])
@@ -347,10 +343,10 @@ def cmd_facet_check(args) -> int:
         trace = trace_from_json(fh.read())
     seed = _parse_vertices(args.lift_seed) if args.lift_seed else None
     if seed is not None:
-        for v in seed:
-            if not 0 <= v < trace.base.n:
-                raise SystemExit("--lift-seed: vertex %d is not in 0..%d"
-                                 % (v, trace.base.n - 1))
+        try:
+            trace.base.vertex_mask(seed)
+        except ValueError as exc:
+            raise SystemExit("--lift-seed: %s" % exc)
         # the witness's cut is lifted from the seed, which --find only tests
         if args.witness and not (seed and trace.final_graph.is_clique(seed)):
             raise SystemExit("--lift-seed: %s is not a clique of the final "
@@ -412,6 +408,9 @@ def cmd_bench(args) -> int:
     if min(sizes) < 0:
         raise SystemExit("graph sizes must be nonnegative, got %s" % args.sizes)
     densities = _numbers(args.densities.split(","), float, "--densities")
+    if not all(0 <= d <= 1 for d in densities):
+        raise SystemExit("graph densities must be in [0, 1], got %s"
+                         % args.densities)
     cells, jobs = [], []
     for n in sizes:
         for d in densities:

@@ -125,12 +125,11 @@ def cutting_plane_run(g: Graph, params: SeparationParams = None,
             break
         rounds += 1
 
-        added = 0
+        rows_before = len(rows)
         pool, violated = build_clique_pool(g, x, params, rng)
         for w in violated:
             if add_row(clique_inequality(w)):
                 counts["clique"] += 1
-                added += 1
         if procedure != "clique":
             out = sep_for_stab(g, x, params, procedure, rng, pool=pool)
             for cut in out.cuts:
@@ -144,8 +143,7 @@ def cutting_plane_run(g: Graph, params: SeparationParams = None,
                                        % ineq.to_text())
                 if add_row(ineq):
                     counts[classify_cut(g, ineq)] += 1
-                    added += 1
-        if not added:
+        if len(rows) == rows_before:
             status = "no_more_cuts"
             break
 

@@ -31,8 +31,8 @@ class DimacsError(ValueError):
 class Graph:
     """Immutable simple graph. adj[v] is the neighbor bitmask of vertex v.
 
-    Structural edits (taking subgraphs, complementing) return new Graph
-    objects; instances are never mutated after construction.
+    Structural edits (complementing, projecting) return new Graph objects;
+    instances are never mutated after construction.
     """
 
     def __init__(self, n: int, edges=(), name: str = ""):
@@ -87,6 +87,18 @@ class Graph:
             for v in bits(self.adj[u] >> (u + 1)):
                 yield u, u + 1 + v
 
+    def vertex_mask(self, vertices) -> int:
+        """mask_of(vertices) for distinct vertices of this graph; raises
+        ValueError naming the first one out of range or repeated."""
+        m = 0
+        for v in vertices:
+            if not 0 <= v < self.n:
+                raise ValueError("vertex %d is not in 0..%d" % (v, self.n - 1))
+            if m >> v & 1:
+                raise ValueError("vertex %d is repeated" % v)
+            m |= 1 << v
+        return m
+
     def is_clique(self, vertices) -> bool:
         m = vertices if isinstance(vertices, int) else mask_of(vertices)
         for v in bits(m):
@@ -100,23 +112,6 @@ class Graph:
             if m & self.adj[v]:
                 return False
         return True
-
-    def induced_subgraph(self, vertices):
-        """Subgraph induced by the given vertices.
-
-        Returns (subgraph, back) where back[i] is the original id of the
-        subgraph's vertex i; original order is kept ascending.
-        """
-        keep = vertices if isinstance(vertices, int) else mask_of(vertices)
-        back = tuple(bits(keep))
-        index = {v: i for i, v in enumerate(back)}
-        adj = []
-        for v in back:
-            m = 0
-            for u in bits(self.adj[v] & keep):
-                m |= 1 << index[u]
-            adj.append(m)
-        return Graph._trusted(adj, self.name), back
 
     def complement(self, name: str = "") -> Graph:
         name = name or (self.name + "-complement" if self.name else "")

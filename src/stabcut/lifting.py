@@ -101,13 +101,18 @@ class Inequality:
     @classmethod
     def from_json(cls, text: str) -> Inequality:
         """Read to_json's form; every coefficient and the right side must be
-        a finite JSON number."""
+        a finite JSON number, and no two keys may name one vertex."""
         payload = json.loads(text)
         coeffs, rhs = payload["coeffs"], payload["rhs"]
         for c in list(coeffs.values()) + [rhs]:
             if type(c) not in (int, float) or not math.isfinite(c):
                 raise ValueError("%r is not a finite int or float" % (c,))
-        return cls({int(v): c for v, c in coeffs.items()}, rhs)
+        read = {}
+        for key, c in coeffs.items():
+            if int(key) in read:
+                raise ValueError("two keys name vertex %d" % int(key))
+            read[int(key)] = c
+        return cls(read, rhs)
 
 
 def clique_inequality(w) -> Inequality:
@@ -142,9 +147,10 @@ def _lift(trace, seed, procedure, solve_step):
     for the stable set solve that fixes the factor of step t. The solves
     share LIFT_MAX_NODES search nodes, each getting what the earlier ones
     left. An infeasible solve contributes factor 0, any other the gap to the
-    right side."""
+    right side. The seed must be distinct vertices of the final graph."""
     seed = tuple(sorted(seed))
-    if not seed or not trace.final_graph.is_clique(seed):
+    smask = trace.final_graph.vertex_mask(seed)
+    if not smask or not trace.final_graph.is_clique(smask):
         raise ValueError("seed %r is not a clique of the final graph" % (seed,))
     nodes_left = LIFT_MAX_NODES
     f = clique_inequality(seed)
@@ -237,9 +243,7 @@ def check_validity(g: Graph, ineq: Inequality, time_budget=None,
     over its positive support; the reported witness attains lhs_max. Raises
     ValueError for a vertex outside 0..n-1, and LiftingAborted when the
     search runs out of seconds or nodes."""
-    for v in ineq.coeffs:
-        if not 0 <= v < g.n:
-            raise ValueError("vertex %d is not in 0..%d" % (v, g.n - 1))
+    g.vertex_mask(ineq.coeffs)  # raises for a vertex outside g
     res = max_weight_stable_set(g, ineq.as_weights(g.n),
                                 time_budget=time_budget, max_nodes=max_nodes)
     if not res.proven_optimal:

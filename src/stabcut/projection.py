@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits
 from .mwss import max_weight_stable_set
 
 
@@ -16,9 +16,10 @@ def clique_project(g: Graph, w):
     Returns (projected graph, false edges). A non-edge uv with u, v outside w
     becomes a false edge when w is contained in N(u) | N(v): any stable set
     holding both u and v would leave w untouched, so the pair can be treated
-    as adjacent whenever attention is restricted to sets meeting w.
+    as adjacent whenever attention is restricted to sets meeting w. Raises
+    ValueError unless w is a nonempty clique of distinct vertices of g.
     """
-    wmask = mask_of(w)
+    wmask = g.vertex_mask(w)
     if not wmask:
         raise ValueError("cannot project onto an empty clique")
     if not g.is_clique(wmask):
@@ -109,7 +110,7 @@ def extend_trace(trace: ProjectionTrace, clique) -> ProjectionTrace:
     final graph and distinct (as a set) from every earlier step's clique;
     steps that add no false edges are legal."""
     w = tuple(sorted(clique))
-    wmask = mask_of(w)
+    wmask = trace.final_graph.vertex_mask(w)
     if wmask in trace.masks:
         raise ValueError("clique %r already used in this trace" % (w,))
     projected, false_edges = clique_project(trace.final_graph, w)

@@ -98,8 +98,9 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
 
     The structural block is padded with zero columns to a multiple of 4,
     so that OpenBLAS rounds every product as it would with the slack
-    columns stored after it. A refactor or a warm start drops the old
-    inverse before it inverts, so one inverse is live at a time.
+    columns stored after it. A refactor, which a warm start runs on its
+    basis, drops the old inverse before it inverts, so one inverse is live
+    at a time.
 
     Raises ValueError on non-finite input, on a negative right side, and on
     a nonzero coefficient below PIVOT_TOL, or 0 by underflow, once its row
@@ -182,10 +183,11 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     flips = 0
     status = "stalled"
     # the basis, set by install: the basic variable of each row as an index
-    # array, its inverse, which variables are basic, which nonbasic ones
-    # rest at their upper bound, and the basic values; then whether the
-    # nudge is in and the right side the basic values are solved for
-    basis = binv = is_basic = at_upper = xb = nudged = b_solve = None
+    # array, its inverse, which nonbasic variables rest at their upper bound
+    # (a basic one never does), and the basic values; then whether the
+    # basic values are solved for the nudged right side
+    basis = binv = at_upper = xb = None
+    nudged = False
 
     # products of the current basis: the reduced costs under "d", pivot
     # rows under ("row", r) and entering columns under ("col", j). Bound
@@ -197,8 +199,11 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     def reduced_costs():
         if "d" not in priced:
             y = c[basis] @ binv
-            # slack i costs 0 and its column e_i prices at y[i]
-            priced["d"] = np.concatenate((c[:n] - (y @ amat)[:n], 0.0 - y))
+            # slack i costs 0 and its column e_i prices at y[i]; a basic
+            # column prices at exactly 0, so no entering test picks it
+            d = np.concatenate((c[:n] - (y @ amat)[:n], 0.0 - y))
+            d[basis] = 0.0
+            priced["d"] = d
         return priced["d"]
 
     def pivot_row(r):
@@ -219,7 +224,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         # values of the basic variables with every nonbasic one at its
         # bound; a nonbasic slack rests at 0, so only structurals count
         vals = np.zeros(amat.shape[1])
-        vals[:n] = at_upper[:n] & ~is_basic[:n]
+        vals[:n] = at_upper[:n]
         return binv @ (rhs - amat @ vals)
 
     def basis_matrix(cols):
@@ -241,11 +246,8 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         nonlocal xb
         priced.clear()
         xb -= step * w
-        leaving = basis[r]
-        is_basic[leaving] = False
-        at_upper[leaving] = leaving_at_upper
+        at_upper[basis[r]] = leaving_at_upper
         basis[r] = j
-        is_basic[j] = True
         xb[r] = (upper[j] if at_upper[j] else 0.0) + step
         at_upper[j] = False
         binv[r] /= w[r]
@@ -265,27 +267,25 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         # one inverse at a time: drop the old one before inverting
         binv = None
         binv = np.linalg.inv(basis_matrix(basis))
-        xb = basic_solution(b_solve)
+        xb = basic_solution(b + nudge if nudged else b)
         since_refactor = 0
 
-    def install(new_basis, new_binv, new_at_upper):
-        # a basis given whole: its variables, inverse and nonbasic bounds
-        nonlocal basis, is_basic, at_upper, binv
+    def install(new_basis, new_at_upper):
+        # a basis given whole, its variables and nonbasic bounds; the old
+        # inverse is dropped, and the caller sets the new one
+        nonlocal basis, at_upper, binv
         priced.clear()
+        binv = None
         basis = new_basis
-        binv = new_binv
-        is_basic = np.zeros(total, dtype=bool)
-        is_basic[basis] = True
         at_upper = new_at_upper
-        at_upper[is_basic] = False
+        at_upper[basis] = False
 
     def reset_to_slacks(with_nudge):
-        nonlocal nudged, b_solve, xb, binv
+        nonlocal nudged, xb, binv
         nudged = with_nudge
-        b_solve = b + nudge if nudged else b
-        binv = None
-        install(np.arange(n, total), np.eye(m), np.zeros(total, dtype=bool))
-        xb = b_solve.copy()
+        install(np.arange(n, total), np.zeros(total, dtype=bool))
+        binv = np.eye(m)
+        xb = b + nudge if nudged else b.copy()
 
     def dual_repair():
         # Restore primal feasibility of a dual feasible basis after the
@@ -313,7 +313,8 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
             else:
                 ok = ((alpha > PIVOT_TOL) & ~at_upper) | \
                      ((alpha < -PIVOT_TOL) & at_upper)
-            cand = np.where(ok & ~is_basic)[0]
+            ok[basis] = False
+            cand = np.flatnonzero(ok)
             if cand.size == 0:
                 return False
             ratios = np.abs(d[cand]) / np.abs(alpha[cand])
@@ -342,9 +343,8 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         # with the nudge when restart_nudged; the iteration cap instead
         # keeps the basis it reached. Either way the next sign test
         # confirms on a fresh inverse.
-        nonlocal nudged, b_solve, since_refactor
+        nonlocal nudged, since_refactor
         nudged = False
-        b_solve = b
         if not dual_repair() and iterations < max_iterations:
             reset_to_slacks(restart_nudged)
         since_refactor = 1
@@ -356,7 +356,6 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         # side of the prefix rows, so the solve runs without the nudge: old
         # rows are already in bounds and only the appended slacks need dual
         # steps. A failed repair restarts from slacks with the nudge.
-        nonlocal xb
         old_basis, old_at_upper = warm
         m_old = len(old_at_upper) - n
         if not (0 <= m_old <= m and len(old_basis) == m_old
@@ -367,11 +366,11 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                         dtype=np.intp)
         flags = np.zeros(total, dtype=bool)
         flags[:n + m_old] = np.asarray(old_at_upper, dtype=bool)
+        install(cand, flags)
         try:
-            install(cand, np.linalg.inv(basis_matrix(cand)), flags)
+            refactor()
         except np.linalg.LinAlgError:
             return False
-        xb = basic_solution(b)
         repair(True)
         return True
 
@@ -383,8 +382,8 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     while iterations < max_iterations:
         iterations += 1
         d = reduced_costs()
-        enter_lower = ~is_basic & ~at_upper & (d > DEFAULT_TOL)
-        enter_upper = ~is_basic & at_upper & (d < -DEFAULT_TOL)
+        enter_lower = ~at_upper & (d > DEFAULT_TOL)
+        enter_upper = at_upper & (d < -DEFAULT_TOL)
         candidates = np.where(enter_lower | enter_upper)[0]
         if candidates.size == 0:
             if since_refactor > 0:
@@ -411,11 +410,10 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         sigma = -1.0 if at_upper[j] else 1.0
         w = column(j)
 
-        t_best, leave = _ratio_test(w, sigma, xb, upper[basis], upper[j])
-        if leave is None and math.isinf(t_best):
+        t, leave = _ratio_test(w, sigma, xb, upper[basis], upper[j])
+        if leave is None and math.isinf(t):
             # cannot happen for a bounded objective; bail out defensively
             break
-        t = max(t_best, 0.0)
         if leave is None:
             at_upper[j] = not at_upper[j]
             xb -= sigma * t * w

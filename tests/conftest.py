@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from stabcut.graph import Graph, bits
+from stabcut.graph import Graph, bits, mask_of
 from stabcut.lifting import EPS, ValidityReport
 from stabcut.mwss import enumerate_stable_sets
 from stabcut.projection import ProjectionTrace, extend_trace
@@ -110,14 +110,15 @@ def random_maximal_clique(g, rng):
 
 
 def enumerated_validity(g, ineq):
-    """Exact validity of ineq by listing every stable set of the subgraph on
-    its positive support: an oracle apart from check_validity's branch and
-    bound, for graphs of up to 25 vertices."""
-    pos = [v for v in ineq.support if ineq.coeffs[v] > 0]
-    sub, back = g.induced_subgraph(pos)
+    """Exact validity of ineq by listing every stable set of g inside its
+    positive support, as masks in g's labels: an oracle apart from
+    check_validity's branch and bound, for graphs of up to 25 vertices."""
+    pos = mask_of(v for v in ineq.support if ineq.coeffs[v] > 0)
     lhs_max, best = 0, ()
-    for s in enumerate_stable_sets(sub):
-        val = sum(ineq.coeffs[back[i]] for i in bits(s))
+    for s in enumerate_stable_sets(g):
+        if s & ~pos:
+            continue
+        val = sum(ineq.coeffs[v] for v in bits(s))
         if val > lhs_max:
-            lhs_max, best = val, tuple(back[i] for i in bits(s))
+            lhs_max, best = val, tuple(bits(s))
     return ValidityReport(lhs_max <= ineq.rhs + EPS, lhs_max, best)

@@ -231,13 +231,15 @@ def test_verify_reports_unreadable_vertices_and_numbers(capsys, tmp_path):
     # vertex -1 used to index the weight list from its end and be read as
     # vertex 4, vertex 99 or a coefficient or right side that is a string
     # ended in a traceback, and a NaN coefficient, which no stable set
-    # weight exceeds, read valid; each is now the file's error row
+    # weight exceeds, read valid, and of two keys naming one vertex only the
+    # last was read; each is now the file's error row
     files = {"negative.json": {"coeffs": {"-1": 1, "2": 1}, "rhs": 1},
              "large.json": {"coeffs": {"99": 1, "2": 1}, "rhs": 1},
              "text_coeff.json": {"coeffs": {"0": "1", "2": 1}, "rhs": 1},
              "text_rhs.json": {"coeffs": {"0": 1, "2": 1}, "rhs": "x"},
              "nan_coeff.json": {"coeffs": {"0": float("nan"), "1": 1},
                                 "rhs": 1},
+             "two_keys.json": {"coeffs": {"1": 1, "01": 2}, "rhs": 1},
              "edge.json": {"coeffs": {"0": 1, "1": 1}, "rhs": 1}}
     paths = []
     for name, payload in files.items():
@@ -250,7 +252,8 @@ def test_verify_reports_unreadable_vertices_and_numbers(capsys, tmp_path):
         "error: vertex -1 is not in 0..4", "error: vertex 99 is not in 0..4",
         "error: '1' is not a finite int or float",
         "error: 'x' is not a finite int or float",
-        "error: nan is not a finite int or float", "valid"]
+        "error: nan is not a finite int or float",
+        "error: two keys name vertex 1", "valid"]
 
 
 def example8_trace_file(tmp_path):
@@ -339,6 +342,8 @@ BAD_INPUTS = {
                                  "bad.json"], "bad.json"),
     "witness that is a list": (["facet-check", "trace.json", "--witness",
                                 "list.json"], "list.json"),
+    "trace clique past n": (["facet-check", "far_clique.json", "--find"],
+                            "far_clique.json"),
 }
 
 
@@ -350,6 +355,9 @@ def one_line_error(argv, tmp_path):
     (tmp_path / "bad.clq").write_text("p edge 3 1\ne 1 9\n")
     (tmp_path / "bad.json").write_text('{"n": 3, "steps": []}')
     (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "far_clique.json").write_text(json.dumps(
+        {"n": 3, "edges": [[0, 1]],
+         "steps": [{"clique": [99], "false_edges": []}]}))
     (tmp_path / "witness.json").write_text(json.dumps(
         {"classes": [[1, 3], [2, 4], [0]], "representative": [1, 2]}))
     (tmp_path / "sub").mkdir()
@@ -407,6 +415,12 @@ BAD_USAGE = {
     "point entry above 1": (["separate", "c5.clq", "--point",
                              "0.5,0.5,1.5,0.5,0.5"],
                             "point entry 1.5 outside [0, 1]"),
+    "density nan": (["bench", "--sizes", "8", "--densities", "0.5,nan"],
+                    "graph densities must be in [0, 1], got 0.5,nan"),
+    "density above 1": (["bench", "--sizes", "8", "--densities", "2"],
+                        "graph densities must be in [0, 1], got 2"),
+    "density below 0": (["bench", "--sizes", "8", "--densities=-1"],
+                        "graph densities must be in [0, 1], got -1"),
 }
 
 
@@ -426,14 +440,16 @@ BAD_LIFT_SEEDS = {
     "vertex past n, witness": ["--witness", "witness.json",
                                "--lift-seed", "1,99"],
     "no clique, witness": ["--witness", "witness.json", "--lift-seed", "0,7"],
+    "repeated vertex, find": ["--find", "--lift-seed", "1,4,4"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_LIFT_SEEDS))
 def test_lift_seed_outside_the_trace_is_one_line(case, tmp_path):
     # a negative vertex ended in "negative shift count", a seed the witness
-    # cut could not be lifted from in a ValueError traceback, and a vertex
-    # past n with --find in "found 0 witnesses" and exit status 0
+    # cut could not be lifted from in a ValueError traceback, a vertex past
+    # n with --find in "found 0 witnesses" and exit status 0, and a repeated
+    # vertex would be stored as the seed
     argv = ["facet-check", "trace.json"] + BAD_LIFT_SEEDS[case]
     assert_one_line_error(argv, "--lift-seed", tmp_path)
 

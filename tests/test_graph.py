@@ -55,18 +55,6 @@ def test_clique_and_stable_checks(example8):
     assert g.is_stable([])
 
 
-def test_induced_subgraph_mapping(example8):
-    sub, back = example8.induced_subgraph([1, 4, 5, 6, 7])
-    assert back == (1, 4, 5, 6, 7)
-    assert sub.n == 5
-    # edges among {1,4,5,6,7}: 14, 15, 47, 56, 57, 67
-    assert sub.num_edges() == 6
-    for i, u in enumerate(back):
-        for j, v in enumerate(back):
-            if i != j:
-                assert sub.has_edge(i, j) == example8.has_edge(u, v)
-
-
 def test_complement_involution(example8):
     g = example8
     gc = g.complement()

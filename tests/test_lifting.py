@@ -120,6 +120,20 @@ def test_seed_must_be_clique_of_final_graph(example8, example8_trace):
     assert basic_lift(example8_trace, seed=EXAMPLE8_SEED)
 
 
+@pytest.mark.parametrize("lift", [basic_lift, strengthened_lift])
+@pytest.mark.parametrize("seed, message", [
+    ((99,), "vertex 99 is not in 0..7"),
+    ((-1,), "vertex -1 is not in 0..7"),
+    ((2, 2), "vertex 2 is repeated"),
+])
+def test_seed_names_a_vertex_outside_or_repeated(example8_trace, lift, seed,
+                                                 message):
+    # a seed from outside names its bad vertex; a repeated one would be
+    # stored as the cut's seed
+    with pytest.raises(ValueError, match=message):
+        lift(example8_trace, seed=seed)
+
+
 def test_strengthened_infeasible_factor_is_zero():
     # triangle plus an isolated vertex: the second step's avoid set swallows
     # the first step's cover, so that factor solve has no feasible point

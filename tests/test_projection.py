@@ -165,6 +165,19 @@ def test_extend_trace_rejects_bad_steps(example8):
         extend_trace(trace, tuple(reversed(EXAMPLE8_W1)))  # same set, reordered
 
 
+@pytest.mark.parametrize("clique, message", [
+    ((99,), "vertex 99 is not in 0..7"),
+    ((-1, 0), "vertex -1 is not in 0..7"),
+    ((1, 6, 6), "vertex 6 is repeated"),
+])
+def test_extend_trace_names_a_vertex_outside_or_repeated(example8_trace,
+                                                         clique, message):
+    # a clique from outside names its bad vertex; a repeated one would be
+    # stored as a step of its own, and lifts over it weigh that vertex twice
+    with pytest.raises(ValueError, match=message):
+        extend_trace(example8_trace, clique)
+
+
 def test_trace_stores_every_level():
     # the stored graphs are the base plus the false edges so far, the masks
     # are the cliques', and a prefix shares the graphs it keeps
