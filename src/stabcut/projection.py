@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .graph import Graph, bits
+from .graph import Graph, bits, mask_of
 from .mwss import max_weight_stable_set
 
 
@@ -110,13 +110,14 @@ def extend_trace(trace: ProjectionTrace, clique) -> ProjectionTrace:
     final graph and distinct (as a set) from every earlier step's clique;
     steps that add no false edges are legal."""
     w = tuple(sorted(clique))
-    wmask = trace.final_graph.vertex_mask(w)
-    if wmask in trace.masks:
+    # stored cliques are sorted and repeat no vertex, so an equal set is an
+    # equal tuple; clique_project rejects any other bad w
+    if w in trace.cliques:
         raise ValueError("clique %r already used in this trace" % (w,))
     projected, false_edges = clique_project(trace.final_graph, w)
     return trace._derived(trace.steps + (TraceStep(w, false_edges),),
                           trace.graphs + (projected,),
-                          trace.cliques + (w,), trace.masks + (wmask,))
+                          trace.cliques + (w,), trace.masks + (mask_of(w),))
 
 
 def is_projectable_edge(g: Graph, u: int, v: int) -> bool:
