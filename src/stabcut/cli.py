@@ -24,9 +24,9 @@ or exactly computed stability number, blank when neither is available. The
 three cut count columns partition every row the run added. time stays blank
 unless --with-times is given, so equal seed reruns are byte identical.
 
-The exit status is 0 only when every requested run terminated on its own
-before the time limit (the engine verifies each cut it keeps) and, for
-separate and verify, every cut passed the validity oracle.
+The exit status is 0 only when every bound or bench run ended on its own
+before --time-limit (the engine verifies each cut it keeps) and every cut
+separate or verify checks passed the oracle within VERIFY_MAX_NODES nodes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 from .benchmarks import BENCHMARKS, KNOWN_OPTIMA
-from .engine import cutting_plane_run
+from .engine import VERIFY_MAX_NODES, cutting_plane_run
 from .facets import (
     ORACLE_LIMIT,
     condition_report,
@@ -153,12 +153,17 @@ def load_instance(name: str, complement: bool) -> Graph:
     return g
 
 
-def _known_alpha(g: Graph, complement: bool):
-    """Stability number of g when it is known or cheap, else None."""
+def _known_alpha(g: Graph):
+    """Stability number of g when it is known or cheap, else None. The
+    table's value needs g's vertex and edge counts to be those of the named
+    instance's complement, which a relabelling keeps and a file name alone
+    does not give."""
     suffix = "-complement"
     base = g.name[:-len(suffix)] if g.name.endswith(suffix) else g.name
-    if complement and base in KNOWN_OPTIMA:
-        return KNOWN_OPTIMA[base]
+    if base in KNOWN_OPTIMA:
+        h = BENCHMARKS[base]()
+        if (g.n, g.num_edges()) == (h.n, h.n * (h.n - 1) // 2 - h.num_edges()):
+            return KNOWN_OPTIMA[base]
     if g.n <= EXACT_ALPHA_LIMIT:
         return int(maximum_stable_set(g).best_value)
     return None
@@ -221,7 +226,7 @@ def cmd_bound(args) -> int:
         except Exception as exc:
             meta.append((name, None, None, str(exc)))
             continue
-        alpha = _known_alpha(g, args.complement)
+        alpha = _known_alpha(g)
         for procedure in procs:
             seed = _derived_seed(args.seed, "%s:%s" % (g.name, procedure))
             jobs.append((g, procedure, params, args.time_limit, seed))
@@ -275,7 +280,7 @@ def cmd_separate(args) -> int:
         for i, cut in enumerate(outcome.cuts):
             ineq = cut.inequality
             try:
-                report = check_validity(g, ineq, time_budget=args.time_limit)
+                report = check_validity(g, ineq, max_nodes=VERIFY_MAX_NODES)
                 verdict = "valid" if report.valid else "INVALID"
             except LiftingAborted:
                 verdict = "unverified"
@@ -312,7 +317,7 @@ def cmd_verify(args) -> int:
             else:
                 ineq = Inequality.from_json(text)
                 replay = ""
-            report = check_validity(g, ineq, time_budget=args.time_limit)
+            report = check_validity(g, ineq, max_nodes=VERIFY_MAX_NODES)
         except LiftingAborted:
             rows.append([path, "unverified", "", "", "", replay, "", ""])
             ok = False
@@ -417,7 +422,7 @@ def cmd_bench(args) -> int:
             names = ["G(%d,%g)#%d" % (n, d, rep) for rep in range(args.reps)]
             graphs = [random_graph(n, d, seed=_derived_seed(args.seed, name))
                       for name in names]
-            alphas = [_known_alpha(g, False) for g in graphs]
+            alphas = [_known_alpha(g) for g in graphs]
             cells.append((n, d, graphs, alphas))
             for procedure in procs:
                 for name, g in zip(names, graphs):
@@ -473,8 +478,16 @@ def _time_limit(text: str) -> float:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError("must be finite and at least 0, "
+                                         "got %s" % text)
+    return value
+
+
 def _add_param_flags(sub):
-    sub.add_argument("--min-violation", type=float, default=None,
+    sub.add_argument("--min-violation", type=_nonnegative_float, default=None,
                      help="violation threshold for keeping a cut")
     sub.add_argument("--min-depth", type=int, default=None,
                      help="projections to perform before stopping the walk")
@@ -491,11 +504,20 @@ def _add_param_flags(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
+def _add_run_flags(sub):
+    # the commands that run cutting_plane_run, whose rounds the clock guards
+    sub.add_argument("--proc", default="c,b,s",
+                     help="comma list from c (clique cuts only), b (basic "
+                          "lifting), s (strengthened lifting)")
+    sub.add_argument("--jobs", type=_positive_int, default=1)
+    sub.add_argument("--with-times", action="store_true")
+    sub.add_argument("--time-limit", type=_time_limit, default=120.0,
+                     help="seconds; inf for no limit")
+
+
 def _add_common(sub, complement_default):
     sub.add_argument("--format", choices=["csv", "json", "text"],
                      default="csv")
-    sub.add_argument("--time-limit", type=_time_limit, default=120.0,
-                     help="seconds; inf for no limit")
     if complement_default:
         sub.add_argument("--no-complement", dest="complement",
                          action="store_false", default=True,
@@ -515,11 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = subs.add_parser("bound", help="bound DIMACS or named instances")
     b.add_argument("instances", nargs="+")
-    b.add_argument("--proc", default="c,b,s",
-                   help="comma list from c (clique cuts only), b (basic "
-                        "lifting), s (strengthened lifting)")
-    b.add_argument("--jobs", type=_positive_int, default=1)
-    b.add_argument("--with-times", action="store_true")
+    _add_run_flags(b)
     _add_common(b, complement_default=True)
     _add_param_flags(b)
     b.set_defaults(fn=cmd_bound)
@@ -560,9 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--densities", default="0.3,0.5")
     r.add_argument("--reps", type=_positive_int, default=5,
                    help="instances per cell")
-    r.add_argument("--proc", default="c,b,s")
-    r.add_argument("--jobs", type=_positive_int, default=1)
-    r.add_argument("--with-times", action="store_true")
+    _add_run_flags(r)
     _add_common(r, complement_default=False)
     _add_param_flags(r)
     r.set_defaults(fn=cmd_bench)

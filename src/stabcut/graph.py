@@ -36,6 +36,8 @@ class Graph:
     """
 
     def __init__(self, n: int, edges=(), name: str = ""):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError("n must be an int >= 0, got %r" % (n,))
         adj = [0] * n
         for u, v in edges:
             if u == v:

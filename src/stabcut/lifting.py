@@ -100,19 +100,19 @@ class Inequality:
 
     @classmethod
     def from_json(cls, text: str) -> Inequality:
-        """Read to_json's form; every coefficient and the right side must be
-        a finite JSON number, and no two keys may name one vertex."""
+        """Read to_json's form; every key must be a vertex written as
+        to_json writes it, and every coefficient and the right side a finite
+        JSON number."""
         payload = json.loads(text)
         coeffs, rhs = payload["coeffs"], payload["rhs"]
         for c in list(coeffs.values()) + [rhs]:
             if type(c) not in (int, float) or not math.isfinite(c):
                 raise ValueError("%r is not a finite int or float" % (c,))
-        read = {}
-        for key, c in coeffs.items():
-            if int(key) in read:
-                raise ValueError("two keys name vertex %d" % int(key))
-            read[int(key)] = c
-        return cls(read, rhs)
+        for key in coeffs:
+            if key != str(int(key)):
+                raise ValueError("vertex key %r is not written as to_json "
+                                 "writes it" % (key,))
+        return cls({int(key): c for key, c in coeffs.items()}, rhs)
 
 
 def clique_inequality(w) -> Inequality:

@@ -122,3 +122,11 @@ def enumerated_validity(g, ineq):
         if val > lhs_max:
             lhs_max, best = val, tuple(bits(s))
     return ValidityReport(lhs_max <= ineq.rhs + EPS, lhs_max, best)
+
+
+class NoClock:
+    """Stands in for a module's time import: any read of the clock fails
+    the test that installed it."""
+
+    def __getattr__(self, name):
+        raise AssertionError("the clock was read: time.%s" % name)

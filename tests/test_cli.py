@@ -2,18 +2,24 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from conftest import EXAMPLE8_EDGES
-from stabcut import cli
+from conftest import EXAMPLE8_EDGES, NoClock
+from stabcut import cli, mwss
+from stabcut.benchmarks import BENCHMARKS
 from stabcut.cli import main
+from stabcut.engine import VERIFY_MAX_NODES
 from stabcut.graph import Graph, serialize_dimacs
 from stabcut.lifting import cut_to_json, strengthened_lift
 from stabcut.projection import ProjectionTrace, extend_trace, trace_to_json
 from stabcut.separation import sep_for_stab
+
+
+HALF5 = "0.5,0.5,0.5,0.5,0.5"
 
 
 def c5():
@@ -98,6 +104,26 @@ def test_bound_instance_dir_env(capsys, tmp_path, monkeypatch):
     assert parse_csv(out)[0]["n"] == "5"
 
 
+def test_alpha_column_needs_the_named_instance_sizes(capsys, tmp_path):
+    # a file name alone once gave the table's alpha, 16 next to a proven
+    # bound of 2.5 for a 5-cycle saved as MANN_a9.clq; the counts of a
+    # relabelled genuine instance still match
+    mann = BENCHMARKS["MANN_a9"]()
+    order = list(range(mann.n))
+    random.Random(7).shuffle(order)
+    relabelled = Graph(mann.n, [(order[u], order[v]) for u, v in mann.edges()])
+    files = {"five_cycle/MANN_a9.clq": (c5(), "2"),
+             "isolated/hamming6-4.clq": (Graph(4), "1"),
+             "genuine/MANN_a9.clq": (relabelled, "16")}
+    for name, (g, alpha) in files.items():
+        path = tmp_path / name
+        path.parent.mkdir()
+        path.write_text(serialize_dimacs(g))
+        code, out, _ = run_cli(capsys, "bound", str(path), "--proc", "c")
+        assert code == 0
+        assert parse_csv(out)[0]["alpha"] == alpha, name
+
+
 def test_separate_c5_half_point(capsys, tmp_path):
     code, out, err = run_cli(capsys, "separate", c5_file(tmp_path),
                              "--point", "0.5,0.5,0.5,0.5,0.5")
@@ -110,20 +136,59 @@ def test_separate_c5_half_point(capsys, tmp_path):
         assert float(r["violation"]) > 0.03
 
 
-def test_separate_verifies_within_time_limit(capsys, tmp_path, monkeypatch):
-    # each cut's check gets --time-limit, not a budget of its own
+def bare_edge_cut(tmp_path):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"coeffs": {"0": 1, "1": 1}, "rhs": 1}))
+    return str(path)
+
+
+def test_cut_checks_use_the_engine_node_budget(capsys, tmp_path,
+                                               monkeypatch):
+    # separate and verify check each cut as the engine does, within
+    # VERIFY_MAX_NODES search nodes and no seconds
     budgets = []
     check = cli.check_validity
 
     def recording_check(g, ineq, **kwargs):
-        budgets.append(kwargs.get("time_budget"))
+        budgets.append(kwargs)
         return check(g, ineq, **kwargs)
 
     monkeypatch.setattr(cli, "check_validity", recording_check)
-    code, _, _ = run_cli(capsys, "separate", c5_file(tmp_path), "--point",
-                         "0.5,0.5,0.5,0.5,0.5", "--time-limit", "7.5")
-    assert code == 0
-    assert budgets and set(budgets) == {7.5}
+    for argv in (["separate", c5_file(tmp_path), "--point", HALF5],
+                 ["verify", c5_file(tmp_path), bare_edge_cut(tmp_path)]):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert len(budgets) > 1
+    assert all(b == {"max_nodes": VERIFY_MAX_NODES} for b in budgets)
+
+
+def test_cut_check_out_of_nodes_reads_unverified(capsys, tmp_path,
+                                                 monkeypatch):
+    # a check that runs out of nodes proves nothing either way; no clock
+    # decides that
+    monkeypatch.setattr(cli, "VERIFY_MAX_NODES", 0)
+    monkeypatch.setattr(mwss, "time", NoClock())
+    code, out, _ = run_cli(capsys, "separate", c5_file(tmp_path), "--point",
+                           HALF5)
+    assert code == 1
+    rows = parse_csv(out)
+    assert rows and {r["verdict"] for r in rows} == {"unverified"}
+    code, out, _ = run_cli(capsys, "verify", c5_file(tmp_path),
+                           bare_edge_cut(tmp_path))
+    assert code == 1
+    assert parse_csv(out)[0]["verdict"] == "unverified"
+
+
+def test_time_limit_only_where_a_run_has_rounds(capsys, tmp_path):
+    # separate and verify stop on work alone, so they take no clock
+    for argv in (["separate", c5_file(tmp_path), "--point", HALF5],
+                 ["verify", c5_file(tmp_path), bare_edge_cut(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--time-limit", "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --time-limit 5" in captured.err
+        assert captured.out == ""
 
 
 def test_separate_rejects_clique_procedure(capsys, tmp_path):
@@ -155,20 +220,32 @@ def test_separation_caps_must_be_positive(capsys, tmp_path):
                 assert captured.out == ""
 
 
+def test_min_violation_must_be_finite_and_nonnegative(capsys, tmp_path):
+    # a NaN threshold kept no cut and exited 0, and a negative one returned
+    # cuts that the point does not violate
+    for value in ("nan", "inf", "-inf", "-5"):
+        for command in (["separate", c5_file(tmp_path), "--point", HALF5],
+                        ["bound", c5_file(tmp_path), "--proc", "b"]):
+            with pytest.raises(SystemExit) as exc:
+                main(command + ["--min-violation=" + value])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "--min-violation" in captured.err
+            assert "must be finite and at least 0" in captured.err
+            assert captured.out == ""
+
+
 def test_time_limit_and_jobs_must_be_positive(capsys, tmp_path):
     # a NaN limit never compared greater than the elapsed time, so it turned
     # the wall-clock guard off; a negative one ended bound after its first LP;
     # a zero or negative --jobs quietly ran serially
     commands = {"bound": ["bound", c5_file(tmp_path), "--proc", "c"],
-                "separate": ["separate", c5_file(tmp_path), "--point",
-                             "0.5,0.5,0.5,0.5,0.5"],
-                "verify": ["verify", c5_file(tmp_path), "cut.json"],
                 "bench": ["bench", "--sizes", "8", "--densities", "0.5",
                           "--reps", "1", "--proc", "c"]}
     cases = [(name, "--time-limit", value, "must be above 0")
              for name in commands for value in ("nan", "0", "-1", "-inf")]
     cases += [(name, "--jobs", value, "must be at least 1")
-              for name in ("bound", "bench") for value in ("0", "-1")]
+              for name in commands for value in ("0", "-1")]
     for name, flag, value, message in cases:
         with pytest.raises(SystemExit) as exc:
             main(commands[name] + [flag + "=" + value])
@@ -231,8 +308,9 @@ def test_verify_reports_unreadable_vertices_and_numbers(capsys, tmp_path):
     # vertex -1 used to index the weight list from its end and be read as
     # vertex 4, vertex 99 or a coefficient or right side that is a string
     # ended in a traceback, and a NaN coefficient, which no stable set
-    # weight exceeds, read valid, and of two keys naming one vertex only the
-    # last was read; each is now the file's error row
+    # weight exceeds, read valid, and a key in any other form than to_json's
+    # was read through int(), so "1_0" named vertex 10 and "01" vertex 1;
+    # each is now the file's error row
     files = {"negative.json": {"coeffs": {"-1": 1, "2": 1}, "rhs": 1},
              "large.json": {"coeffs": {"99": 1, "2": 1}, "rhs": 1},
              "text_coeff.json": {"coeffs": {"0": "1", "2": 1}, "rhs": 1},
@@ -240,6 +318,10 @@ def test_verify_reports_unreadable_vertices_and_numbers(capsys, tmp_path):
              "nan_coeff.json": {"coeffs": {"0": float("nan"), "1": 1},
                                 "rhs": 1},
              "two_keys.json": {"coeffs": {"1": 1, "01": 2}, "rhs": 1},
+             "underscore.json": {"coeffs": {"1_0": 1, "2": 1}, "rhs": 1},
+             "space.json": {"coeffs": {" 2": 1, "0": 1}, "rhs": 1},
+             "plus.json": {"coeffs": {"+3": 1, "0": 1}, "rhs": 1},
+             "minus_zero.json": {"coeffs": {"-0": 1, "2": 1}, "rhs": 1},
              "edge.json": {"coeffs": {"0": 1, "1": 1}, "rhs": 1}}
     paths = []
     for name, payload in files.items():
@@ -253,7 +335,12 @@ def test_verify_reports_unreadable_vertices_and_numbers(capsys, tmp_path):
         "error: '1' is not a finite int or float",
         "error: 'x' is not a finite int or float",
         "error: nan is not a finite int or float",
-        "error: two keys name vertex 1", "valid"]
+        "error: vertex key '01' is not written as to_json writes it",
+        "error: vertex key '1_0' is not written as to_json writes it",
+        "error: vertex key ' 2' is not written as to_json writes it",
+        "error: vertex key '+3' is not written as to_json writes it",
+        "error: vertex key '-0' is not written as to_json writes it",
+        "valid"]
 
 
 def example8_trace_file(tmp_path):
@@ -344,6 +431,10 @@ BAD_INPUTS = {
                                 "list.json"], "list.json"),
     "trace clique past n": (["facet-check", "far_clique.json", "--find"],
                             "far_clique.json"),
+    "trace with negative n": (["facet-check", "negative_n.json", "--find"],
+                              "negative_n.json"),
+    "trace with fractional n": (["facet-check", "fractional_n.json",
+                                 "--find"], "fractional_n.json"),
 }
 
 
@@ -358,6 +449,9 @@ def one_line_error(argv, tmp_path):
     (tmp_path / "far_clique.json").write_text(json.dumps(
         {"n": 3, "edges": [[0, 1]],
          "steps": [{"clique": [99], "false_edges": []}]}))
+    for name, n in (("negative_n.json", -1), ("fractional_n.json", 2.5)):
+        (tmp_path / name).write_text(json.dumps(
+            {"n": n, "edges": [], "steps": []}))
     (tmp_path / "witness.json").write_text(json.dumps(
         {"classes": [[1, 3], [2, 4], [0]], "representative": [1, 2]}))
     (tmp_path / "sub").mkdir()

@@ -18,6 +18,8 @@ import sys
 
 import pytest
 
+from conftest import NoClock
+from stabcut import mwss
 from stabcut.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -55,6 +57,14 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch):
         expected = fh.read()
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("name", ["separate_c5.json", "verify_c5.csv"])
+def test_cut_checks_read_no_clock(name, capsys, monkeypatch):
+    # separate and verify check each cut within a count of search nodes, so
+    # their bytes cannot follow the speed of the machine
+    monkeypatch.setattr(mwss, "time", NoClock())
+    test_cli_output_matches_golden(name, capsys, monkeypatch)
 
 
 def _recapture():

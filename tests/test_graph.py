@@ -33,6 +33,14 @@ def test_constructor_and_queries(example8):
     assert sorted(g.edges()) == list(g.edges())
 
 
+def test_constructor_rejects_bad_vertex_counts():
+    # -1 ended in "negative shift count" and 2.5 in an unrelated TypeError
+    for n in (-1, 2.5, "3", True, None):
+        with pytest.raises(ValueError, match="n must be an int >= 0"):
+            Graph(n)
+    assert Graph(0).n == 0
+
+
 def test_constructor_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, [(0, 0)])
