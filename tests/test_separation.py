@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from stabcut import mwss
@@ -171,3 +172,35 @@ def test_separation_and_checks_never_read_the_clock(monkeypatch):
                                   max_nodes=VERIFY_MAX_NODES).valid
         rep = cutting_plane_run(g, procedure=procedure, max_rounds=3)
         assert rep.cut_counts["rank"] + rep.cut_counts["weighted"] > 0
+
+
+def test_separation_keeps_recorded_cuts():
+    # The digest pins every cut of both procedures on 40 seeded graphs and
+    # fractional points: its key, seed, factors and walk cliques, plus the
+    # outcome's three counters. No LP is solved, so BLAS threading plays no
+    # part. A refactor of the walk or the lifts must leave it unchanged.
+    rng = random.Random(20261020)
+    h = hashlib.sha256()
+    cuts = 0
+    for trial in range(40):
+        n = rng.randint(8, 40)
+        g = random_graph(n, rng.choice([0.2, 0.35, 0.5, 0.65]),
+                         seed=32000 + trial)
+        point = [round(rng.random(), 3) for _ in range(n)]
+        params = SeparationParams(min_violation=0.01,
+                                  min_depth=rng.randint(0, 4),
+                                  max_depth=rng.randint(3, 12),
+                                  max_iterations=20, max_ncuts=12,
+                                  tomita_period=rng.randint(2, 5))
+        for procedure in ("basic", "strengthened"):
+            out = sep_for_stab(g, point, params, procedure,
+                               rng=random.Random(trial))
+            for cut in out.cuts:
+                h.update(repr((cut.inequality.key(), cut.seed, cut.factors,
+                               cut.trace.cliques)).encode())
+            h.update(repr((out.iterations_used, out.projections_performed,
+                           out.failed_iterations)).encode())
+            cuts += len(out.cuts)
+    assert cuts == 910
+    assert h.hexdigest() == (
+        "d43a1c860b128a2c207c97fac612cc15bb0cf580670cbd5c25b4a5c69e221fc1")
