@@ -378,7 +378,7 @@ def cmd_facet_check(args) -> int:
         entry["conditions"] = conditions
         entry["predicted_facet"] = all(conditions.values())
         if cut is not None:
-            rep = facet_report(trace, witness, cut, trace.r, conditions)
+            rep = facet_report(witness, cut, trace.r, conditions)
             entry["cut"] = cut.inequality.to_text()
             entry["dim_face"] = rep.dim_face
             entry["dim_tight"] = rep.dim_tight

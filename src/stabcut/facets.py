@@ -31,11 +31,10 @@ class FacetWitness:
     representative: tuple = None
 
     @classmethod
-    def build(cls, n, k, classes, hyperedges, representative=None):
+    def build(cls, n, classes, hyperedges, representative=None):
         classes = tuple(tuple(sorted(c)) for c in classes)
         hyperedges = tuple(tuple(sorted(w)) for w in hyperedges)
-        if len(classes) != k:
-            raise ValueError("expected %d classes, got %d" % (k, len(classes)))
+        k = len(classes)
         union = set()
         for w in hyperedges:
             union.update(w)
@@ -68,8 +67,8 @@ class FacetWitness:
 
 def witness_from_trace(trace: ProjectionTrace, classes,
                        representative=None) -> FacetWitness:
-    return FacetWitness.build(trace.base.n, len(classes), classes,
-                              trace.cliques, representative)
+    return FacetWitness.build(trace.base.n, classes, trace.cliques,
+                              representative)
 
 
 @dataclass
@@ -246,13 +245,14 @@ def face_dimension(g: Graph, equalities) -> DimensionCertificate:
     return DimensionCertificate(dim, chosen)
 
 
-def _dimension_pair(g: Graph, cliques, ineq):
-    """Affine dimensions of the face where every given clique inequality is
-    tight, and of its subface where ineq is tight too; ineq defines a facet
-    of the face exactly when the second is one less than the first."""
-    equalities = [clique_inequality(w) for w in cliques]
+def _dimension_pair(cut: LiftedCut, t: int):
+    """Affine dimensions of the level-t face, where the first t walk cliques
+    are tight, and of its subface where the cut's level-t form is tight too;
+    that form defines a facet exactly when the second is one less."""
+    g = cut.trace.base
+    equalities = [clique_inequality(w) for w in cut.trace.cliques[:t]]
     whole = face_dimension(g, equalities)
-    tight = face_dimension(g, equalities + [ineq])
+    tight = face_dimension(g, equalities + [cut.level_form(t)])
     return whole.affine_dim, tight.affine_dim
 
 
@@ -263,29 +263,27 @@ def _face_masks(g, cliques):
             if all((mask & cm).bit_count() == 1 for cm in cmasks)]
 
 
-def assert_facet_of_Ft(trace: ProjectionTrace, witness: FacetWitness,
-                       seed, cut: LiftedCut, t: int) -> bool:
+def assert_facet_of_Ft(cut: LiftedCut, t: int) -> bool:
     """Exact check that the level-t form of the cut defines a facet of the
-    level-t face: its tight set must lose exactly one affine dimension."""
-    if cut.level_form(trace.r) != clique_inequality(seed):
-        raise ValueError("cut was not seeded by the given clique")
-    whole, tight = _dimension_pair(trace.base, trace.cliques[:t],
-                                   cut.level_form(t))
+    level-t face of its walk: its tight set must lose exactly one affine
+    dimension."""
+    whole, tight = _dimension_pair(cut, t)
     return tight == whole - 1
 
 
-def verify_class_equality(g: Graph, trace: ProjectionTrace,
-                          witness: FacetWitness, t: int) -> bool:
+def verify_class_equality(trace: ProjectionTrace, witness: FacetWitness,
+                          t: int) -> bool:
     """On every integral point of the level-t face, all members of a class
     take the same value. The classes are taken as given, so pass a witness
     restricted to the level being checked."""
     classes = [mask_of(c) for c in witness.classes]
-    return all(mask & c in (0, c) for mask in _face_masks(g, trace.cliques[:t])
+    return all(mask & c in (0, c)
+               for mask in _face_masks(trace.base, trace.cliques[:t])
                for c in classes)
 
 
-def verify_isomorphism(g: Graph, trace: ProjectionTrace,
-                       witness: FacetWitness, representative=None) -> bool:
+def verify_isomorphism(trace: ProjectionTrace, witness: FacetWitness,
+                       representative=None) -> bool:
     """Check the face of the full walk is a copy of the stable set polytope
     of the final graph induced on outside vertices plus one representative
     per class except the last, by building both maps and confirming they are
@@ -294,16 +292,17 @@ def verify_isomorphism(g: Graph, trace: ProjectionTrace,
         else witness.representative
     if rep is None:
         raise ValueError("no representative set given")
-    witness = FacetWitness.build(g.n, witness.k, witness.classes,
+    witness = FacetWitness.build(trace.base.n, witness.classes,
                                  witness.hyperedges, rep)
     rep = mask_of(witness.representative)
     outside = mask_of(witness.outside)
     keep = outside | rep
     sub_points = {s for s in enumerate_stable_sets(trace.final_graph)
                   if not s & ~keep}
-    face = _face_masks(g, trace.cliques)
-    if len(face) != len(sub_points) \
-            or not verify_class_equality(g, trace, witness, trace.r):
+    face = _face_masks(trace.base, trace.cliques)
+    # equal counts, distinct images inside sub_points and the round trip
+    # make the map a bijection whose points each hold one whole class
+    if len(face) != len(sub_points):
         return False
     classes = [mask_of(c) for c in witness.classes]
     images = set()
@@ -313,15 +312,14 @@ def verify_isomorphism(g: Graph, trace: ProjectionTrace,
             return False
         images.add(y)
         # rebuild the face point from its image and insist it round-trips:
-        # the class of the one representative in y, else the last class
+        # the class of a representative in y, else the last class; a point
+        # holding two representatives cannot round-trip
         chosen = y & rep
-        if chosen.bit_count() > 1:
-            return False
         rebuilt = y & outside | next((c for c in classes if c & chosen),
                                      classes[-1])
         if rebuilt != mask:
             return False
-    return images == sub_points
+    return True
 
 
 def condition_report(trace: ProjectionTrace, witness: FacetWitness,
@@ -352,15 +350,14 @@ class FacetReport:
     agrees: bool
 
 
-def facet_report(trace: ProjectionTrace, witness: FacetWitness,
-                 cut: LiftedCut, t: int, conditions=None) -> FacetReport:
+def facet_report(witness: FacetWitness, cut: LiftedCut, t: int,
+                 conditions=None) -> FacetReport:
     """Predicted and exact facetness of the level-t form of cut; conditions
-    default to the witness's condition_report under the cut's seed."""
+    default to the witness's condition_report over the cut's walk and seed."""
     if conditions is None:
-        conditions = condition_report(trace, witness, cut.seed)
+        conditions = condition_report(cut.trace, witness, cut.seed)
     predicted = all(conditions.values())
-    whole, tight = _dimension_pair(trace.base, trace.cliques[:t],
-                                   cut.level_form(t))
+    whole, tight = _dimension_pair(cut, t)
     facet = tight == whole - 1
     return FacetReport(conditions, predicted, whole, tight, facet,
                        facet if predicted else True)

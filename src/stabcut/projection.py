@@ -4,7 +4,7 @@ jointly dominate a chosen clique, and keep track of chains of such steps."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import Graph, bits, mask_of
 from .mwss import max_weight_stable_set
@@ -48,8 +48,12 @@ def clique_project(g: Graph, w):
 
 @dataclass(frozen=True)
 class TraceStep:
+    """One projection: the clique as a sorted tuple and as a mask, the false
+    edges it added and the graph it projects to."""
     clique: tuple
+    mask: int = field(compare=False, repr=False)
     false_edges: tuple
+    graph: Graph = field(compare=False, repr=False)
 
 
 class ProjectionTrace:
@@ -57,24 +61,17 @@ class ProjectionTrace:
 
     Step t projects graph_at(t-1) onto steps[t-1].clique, so graph_at(t)
     carries the union of the base edges and all false edges up to t. The
-    trace stores every level's graph (graphs[t] is graph_at(t)) and every
-    step's clique as a sorted tuple (cliques) and as a bitmask (masks).
-    ProjectionTrace(base) starts a trace; extend_trace and trace_from_json
-    grow it, validating each step.
+    views cliques, masks and graphs (graphs[t] is graph_at(t)) are read off
+    the steps. ProjectionTrace(base) starts a trace; extend_trace and
+    trace_from_json grow it, validating each step.
     """
 
-    def __init__(self, base: Graph):
+    def __init__(self, base: Graph, _steps=()):
         self.base = base
-        self.steps = self.cliques = self.masks = ()
-        self.graphs = (base,)
-
-    def _derived(self, steps, graphs, cliques, masks) -> ProjectionTrace:
-        """A trace over the same base holding the given, already validated
-        levels."""
-        trace = ProjectionTrace(self.base)
-        trace.steps, trace.graphs = steps, graphs
-        trace.cliques, trace.masks = cliques, masks
-        return trace
+        self.steps = _steps
+        self.cliques = tuple(s.clique for s in _steps)
+        self.masks = tuple(s.mask for s in _steps)
+        self.graphs = (base,) + tuple(s.graph for s in _steps)
 
     @property
     def r(self) -> int:
@@ -94,8 +91,7 @@ class ProjectionTrace:
             raise IndexError("prefix %d of a %d step trace" % (t, self.r))
         if t == self.r:
             return self
-        return self._derived(self.steps[:t], self.graphs[:t + 1],
-                             self.cliques[:t], self.masks[:t])
+        return ProjectionTrace(self.base, self.steps[:t])
 
     def __eq__(self, other):
         return (isinstance(other, ProjectionTrace)
@@ -115,9 +111,8 @@ def extend_trace(trace: ProjectionTrace, clique) -> ProjectionTrace:
     if w in trace.cliques:
         raise ValueError("clique %r already used in this trace" % (w,))
     projected, false_edges = clique_project(trace.final_graph, w)
-    return trace._derived(trace.steps + (TraceStep(w, false_edges),),
-                          trace.graphs + (projected,),
-                          trace.cliques + (w,), trace.masks + (mask_of(w),))
+    step = TraceStep(w, mask_of(w), false_edges, projected)
+    return ProjectionTrace(trace.base, trace.steps + (step,))
 
 
 def is_projectable_edge(g: Graph, u: int, v: int) -> bool:

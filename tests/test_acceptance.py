@@ -248,7 +248,7 @@ def test_demo_facet_conditions_all_pass(example8_trace):
     witness = witness_from_trace(example8_trace, [(1, 3), (2, 4), (0,)],
                                  representative=(1, 2))
     cut = strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
-    report = facet_report(example8_trace, witness, cut, t=3)
+    report = facet_report(witness, cut, t=3)
     assert example8_trace.r == 3 and witness.k == 3
     assert all(report.conditions.values()), report.conditions
     assert report.predicted
@@ -264,7 +264,7 @@ def test_demo_strengthened_cut_is_facet_of_walk_face(example8_trace):
     witness = witness_from_trace(example8_trace, [(1, 3), (2, 4), (0,)],
                                  representative=(1, 2))
     cut = strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
-    report = facet_report(example8_trace, witness, cut, t=3)
+    report = facet_report(witness, cut, t=3)
     assert report.dim_face == 5
     assert report.dim_tight == 4
     assert report.facet and report.agrees
@@ -275,8 +275,7 @@ def test_demo_witness_search_agrees(example8_trace):
     assert found
     cut = strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
     for witness, conditions in found:
-        report = facet_report(example8_trace, witness, cut, t=3,
-                              conditions=conditions)
+        report = facet_report(witness, cut, t=3, conditions=conditions)
         assert report.facet
 
 

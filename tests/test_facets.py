@@ -35,13 +35,13 @@ def path6_trace(path6):
 
 def test_witness_build_validates():
     try:
-        FacetWitness.build(5, 2, [(0, 1), (1, 2)], [(0, 1), (1, 2)])
+        FacetWitness.build(5, [(0, 1), (1, 2)], [(0, 1), (1, 2)])
     except ValueError:
         pass
     else:
         assert False
     try:
-        FacetWitness.build(5, 2, [(0,), (1,)], [(0, 1), (1, 2)])
+        FacetWitness.build(5, [(0,), (1,)], [(0, 1), (1, 2)])
     except ValueError:
         pass
     else:
@@ -78,8 +78,7 @@ def test_condition_I_rejects_wrong_clique_size():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     trace = extend_trace(ProjectionTrace(g), (0, 1))
     trace = extend_trace(trace, (2, 3, 4))
-    witness = FacetWitness.build(5, 2, [(0, 2, 4), (1, 3)],
-                                 trace.cliques)
+    witness = FacetWitness.build(5, [(0, 2, 4), (1, 3)], trace.cliques)
     assert not check_condition_I(trace, witness, 2)
 
 
@@ -90,10 +89,9 @@ def test_strong_hypertree_chain(example8_trace):
 
 
 def test_strong_hypertree_edge_cases():
-    single = FacetWitness.build(3, 3, [(0,), (1,), (2,)], [(0, 1, 2)])
+    single = FacetWitness.build(3, [(0,), (1,), (2,)], [(0, 1, 2)])
     assert check_strong_hypertree(single)
-    disjoint = FacetWitness.build(4, 2, [(0, 2), (1, 3)],
-                                  [(0, 1), (2, 3)])
+    disjoint = FacetWitness.build(4, [(0, 2), (1, 3)], [(0, 1), (2, 3)])
     assert not check_strong_hypertree(disjoint)
 
 
@@ -185,11 +183,9 @@ def test_full_walk_face_points_pinned(example8, example8_trace):
 
 
 def test_strengthened_cut_is_facet_at_every_level(example8_trace):
-    witness = ex8_witness(example8_trace)
     cut = strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
     for t in (0, 1, 2, 3):
-        assert assert_facet_of_Ft(example8_trace, witness, EXAMPLE8_SEED,
-                                  cut, t)
+        assert assert_facet_of_Ft(cut, t)
 
 
 def test_slack_inequality_has_empty_face(example8):
@@ -200,7 +196,7 @@ def test_slack_inequality_has_empty_face(example8):
 def test_facet_report_on_example(example8_trace):
     witness = ex8_witness(example8_trace)
     cut = strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
-    report = facet_report(example8_trace, witness, cut, t=3)
+    report = facet_report(witness, cut, t=3)
     assert report.predicted
     assert report.conditions == {"interWV": True, "I": True, "II": True,
                                  "III": True, "IV": True, "V": True,
@@ -211,34 +207,32 @@ def test_facet_report_on_example(example8_trace):
     assert report.agrees
 
 
-def test_class_equality_on_levels(example8, example8_trace):
+def test_class_equality_on_levels(example8_trace):
     witness = ex8_witness(example8_trace)
-    assert verify_class_equality(example8, example8_trace, witness, 3)
+    assert verify_class_equality(example8_trace, witness, 3)
     # without the exactly-one constraints a single-vertex point breaks it
-    assert not verify_class_equality(example8, example8_trace, witness, 0)
+    assert not verify_class_equality(example8_trace, witness, 0)
 
 
-def test_isomorphism_on_example(example8, example8_trace):
+def test_isomorphism_on_example(example8_trace):
     witness = ex8_witness(example8_trace)
-    assert verify_isomorphism(example8, example8_trace, witness)
-    assert verify_isomorphism(example8, example8_trace, witness,
-                              representative=(1, 4))
+    assert verify_isomorphism(example8_trace, witness)
+    assert verify_isomorphism(example8_trace, witness, representative=(1, 4))
 
 
-def test_isomorphism_rejects_bad_representative(example8, example8_trace):
+def test_isomorphism_rejects_bad_representative(example8_trace):
     witness = ex8_witness(example8_trace)
     try:
-        verify_isomorphism(example8, example8_trace, witness,
-                           representative=(1, 3))
+        verify_isomorphism(example8_trace, witness, representative=(1, 3))
     except ValueError:
         pass
     else:
         assert False
 
 
-def test_isomorphism_fails_on_bad_labeling(example8, example8_trace):
+def test_isomorphism_fails_on_bad_labeling(example8_trace):
     relabeled = witness_from_trace(example8_trace, [(1, 3), (0,), (2, 4)])
-    assert not verify_isomorphism(example8, example8_trace, relabeled,
+    assert not verify_isomorphism(example8_trace, relabeled,
                                   representative=(0, 1))
 
 
@@ -300,7 +294,7 @@ def test_facet_certificates_match_dimension_oracle_fuzz():
                     continue
                 cut = strengthened_lift(trace, seed=seed)
                 for t in range(1, trace.r + 1):
-                    assert assert_facet_of_Ft(trace, witness, seed, cut, t)
+                    assert assert_facet_of_Ft(cut, t)
                     assert face_dimension(
                         trace.base,
                         [clique_inequality(w) for w in trace.cliques[:t]]
@@ -366,7 +360,7 @@ def test_facet_checkers_keep_recorded_verdicts():
                        check_strong_hypertree(witness, t),
                        check_condition_III(trace, witness, t))
                       for t in range(1, r + 1)]
-            equal = [verify_class_equality(g, trace, witness, t)
+            equal = [verify_class_equality(trace, witness, t)
                      for t in range(r + 1)]
             routed = [condition_iv_holds_for(trace, witness, v, w, i)
                       for i in range(k - 1) for v in witness.classes[i]
@@ -378,7 +372,7 @@ def test_facet_checkers_keep_recorded_verdicts():
             h.update(repr((classes, levels, equal, routed,
                            sorted(report.items()))).encode())
             for rep in product(*witness.classes[:-1]):
-                ok = verify_isomorphism(g, trace, witness, representative=rep)
+                ok = verify_isomorphism(trace, witness, representative=rep)
                 iso[ok] += 1
                 h.update(repr((rep, ok)).encode())
     assert (traces, passed) == (140, 89)
