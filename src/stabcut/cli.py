@@ -462,11 +462,20 @@ def cmd_bench(args) -> int:
     return 0 if ok else 1
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
-    return value
+def _int_at_least(low: int):
+    def check(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                             % (low, value))
+        return value
+    # argparse names the type in its message for a non-integer
+    check.__name__ = "int"
+    return check
+
+
+_positive_int = _int_at_least(1)
+_depth = _int_at_least(0)
 
 
 def _time_limit(text: str) -> float:
@@ -489,9 +498,9 @@ def _nonnegative_float(text: str) -> float:
 def _add_param_flags(sub):
     sub.add_argument("--min-violation", type=_nonnegative_float, default=None,
                      help="violation threshold for keeping a cut")
-    sub.add_argument("--min-depth", type=int, default=None,
+    sub.add_argument("--min-depth", type=_depth, default=None,
                      help="projections to perform before stopping the walk")
-    sub.add_argument("--max-depth", type=int, default=None,
+    sub.add_argument("--max-depth", type=_depth, default=None,
                      help="hard cap on projections per walk")
     sub.add_argument("--max-iter", dest="max_iterations",
                      type=_positive_int, default=None,

@@ -220,6 +220,31 @@ def test_separation_caps_must_be_positive(capsys, tmp_path):
                 assert captured.out == ""
 
 
+def test_walk_depths_must_be_nonnegative(capsys, tmp_path):
+    # a negative --max-depth ran no projection and a negative --min-depth
+    # was taken as given, each exiting 0
+    commands = {"separate": ["separate", c5_file(tmp_path), "--point", HALF5],
+                "bound": ["bound", c5_file(tmp_path), "--proc", "b"],
+                "bench": ["bench", "--sizes", "8", "--densities", "0.5",
+                          "--reps", "1", "--proc", "b"]}
+    for command in commands.values():
+        for flag in ("--min-depth", "--max-depth"):
+            for value in ("-1", "-3"):
+                with pytest.raises(SystemExit) as exc:
+                    main(command + [flag + "=" + value])
+                assert exc.value.code == 2
+                captured = capsys.readouterr()
+                assert flag in captured.err
+                assert "must be at least 0" in captured.err
+                assert captured.out == ""
+    # a zero cap walks no projection, and --max-depth caps --min-depth: two
+    # projections in each of the three walks
+    for depths, projections in ((["--max-depth", "0"], 0),
+                                (["--min-depth", "30", "--max-depth", "2"], 6)):
+        code, _, err = run_cli(capsys, *commands["separate"], *depths)
+        assert code == 0 and "%d projections" % projections in err
+
+
 def test_min_violation_must_be_finite_and_nonnegative(capsys, tmp_path):
     # a NaN threshold kept no cut and exited 0, and a negative one returned
     # cuts that the point does not violate
