@@ -204,44 +204,37 @@ def test_separate_rejects_clique_procedure(capsys, tmp_path):
 
 
 def test_separation_caps_must_be_positive(capsys, tmp_path):
-    # a zero Tomita period divided by zero inside the walk, and a zero or
-    # negative iteration cap quietly ran no separation at all
-    for flag in ("--tomita-period", "--max-iter", "--max-ncuts"):
-        for value in ("0", "-1"):
-            for command in (["separate", c5_file(tmp_path), "--point",
-                             "0.5,0.5,0.5,0.5,0.5"],
-                            ["bound", c5_file(tmp_path), "--proc", "b"]):
-                with pytest.raises(SystemExit) as exc:
-                    main(command + [flag, value])
-                assert exc.value.code == 2
-                captured = capsys.readouterr()
-                assert flag in captured.err
-                assert "must be at least 1" in captured.err
-                assert captured.out == ""
+    # a zero Tomita period divided by zero inside the walk, a zero or
+    # negative iteration cap quietly ran no separation at all, and a negative
+    # --max-depth ran no projection while a negative --min-depth was taken as
+    # given, each exiting 0
+    commands = [["separate", c5_file(tmp_path), "--point", HALF5],
+                ["bound", c5_file(tmp_path), "--proc", "b"],
+                ["bench", "--sizes", "8", "--densities", "0.5", "--reps", "1",
+                 "--proc", "b"]]
+    cases = [(flag, value, "must be at least 1")
+             for flag in ("--tomita-period", "--max-iter", "--max-ncuts")
+             for value in ("0", "-1")]
+    cases += [(flag, value, "must be at least 0")
+              for flag in ("--min-depth", "--max-depth")
+              for value in ("-1", "-3")]
+    for flag, value, message in cases:
+        for command in commands:
+            with pytest.raises(SystemExit) as exc:
+                main(command + [flag + "=" + value])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert flag in captured.err and message in captured.err
+            assert captured.out == ""
 
 
-def test_walk_depths_must_be_nonnegative(capsys, tmp_path):
-    # a negative --max-depth ran no projection and a negative --min-depth
-    # was taken as given, each exiting 0
-    commands = {"separate": ["separate", c5_file(tmp_path), "--point", HALF5],
-                "bound": ["bound", c5_file(tmp_path), "--proc", "b"],
-                "bench": ["bench", "--sizes", "8", "--densities", "0.5",
-                          "--reps", "1", "--proc", "b"]}
-    for command in commands.values():
-        for flag in ("--min-depth", "--max-depth"):
-            for value in ("-1", "-3"):
-                with pytest.raises(SystemExit) as exc:
-                    main(command + [flag + "=" + value])
-                assert exc.value.code == 2
-                captured = capsys.readouterr()
-                assert flag in captured.err
-                assert "must be at least 0" in captured.err
-                assert captured.out == ""
+def test_max_depth_caps_the_walk(capsys, tmp_path):
     # a zero cap walks no projection, and --max-depth caps --min-depth: two
     # projections in each of the three walks
     for depths, projections in ((["--max-depth", "0"], 0),
                                 (["--min-depth", "30", "--max-depth", "2"], 6)):
-        code, _, err = run_cli(capsys, *commands["separate"], *depths)
+        code, _, err = run_cli(capsys, "separate", c5_file(tmp_path),
+                               "--point", HALF5, *depths)
         assert code == 0 and "%d projections" % projections in err
 
 
