@@ -475,7 +475,7 @@ def _int_at_least(low: int):
 
 
 _positive_int = _int_at_least(1)
-_depth = _int_at_least(0)
+_nonnegative_int = _int_at_least(0)
 
 
 def _time_limit(text: str) -> float:
@@ -498,9 +498,9 @@ def _nonnegative_float(text: str) -> float:
 def _add_param_flags(sub):
     sub.add_argument("--min-violation", type=_nonnegative_float, default=None,
                      help="violation threshold for keeping a cut")
-    sub.add_argument("--min-depth", type=_depth, default=None,
+    sub.add_argument("--min-depth", type=_nonnegative_int, default=None,
                      help="projections to perform before stopping the walk")
-    sub.add_argument("--max-depth", type=_depth, default=None,
+    sub.add_argument("--max-depth", type=_nonnegative_int, default=None,
                      help="hard cap on projections per walk")
     sub.add_argument("--max-iter", dest="max_iterations",
                      type=_positive_int, default=None,
