@@ -39,7 +39,6 @@ import os
 import random
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 from .benchmarks import BENCHMARKS, KNOWN_OPTIMA
@@ -254,6 +253,8 @@ def cmd_bound(args) -> int:
 def _run_jobs(jobs, workers):
     """_bound_job over jobs, in order, on up to workers processes."""
     if workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_bound_job, jobs))
     return [_bound_job(job) for job in jobs]

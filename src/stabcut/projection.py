@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph, bits
 from .mwss import max_weight_stable_set
 
 
@@ -19,7 +19,11 @@ def clique_project(g: Graph, w):
     as adjacent whenever attention is restricted to sets meeting w. Raises
     ValueError unless w is a nonempty clique of distinct vertices of g.
     """
-    wmask = g.vertex_mask(w)
+    return _project(g, w, g.vertex_mask(w))
+
+
+def _project(g: Graph, w, wmask: int):
+    """clique_project with w's mask already built by g.vertex_mask(w)."""
     if not wmask:
         raise ValueError("cannot project onto an empty clique")
     if not g.is_clique(wmask):
@@ -107,11 +111,13 @@ def extend_trace(trace: ProjectionTrace, clique) -> ProjectionTrace:
     steps that add no false edges are legal."""
     w = tuple(sorted(clique))
     # stored cliques are sorted and repeat no vertex, so an equal set is an
-    # equal tuple; clique_project rejects any other bad w
+    # equal tuple; vertex_mask and _project reject any other bad w
     if w in trace.cliques:
         raise ValueError("clique %r already used in this trace" % (w,))
-    projected, false_edges = clique_project(trace.final_graph, w)
-    step = TraceStep(w, mask_of(w), false_edges, projected)
+    g = trace.final_graph
+    wmask = g.vertex_mask(w)
+    projected, false_edges = _project(g, w, wmask)
+    step = TraceStep(w, wmask, false_edges, projected)
     return ProjectionTrace(trace.base, trace.steps + (step,))
 
 
