@@ -27,8 +27,11 @@ from stabcut.graph import random_graph
 from stabcut.lifting import check_validity
 from stabcut.separation import SeparationParams, sep_for_stab
 
-watched = %(watched)r
-loaded = lambda: [m for m in watched if m in sys.modules]
+
+def loaded():
+    return [m for m in %(watched)r if m in sys.modules]
+
+
 report = {"on_import": loaded()}
 
 rng = random.Random(7)
