@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import log
 
-from .graph import Graph
+from .graph import Graph, bits, mask_of
 
 
 def _sts9_lines():
@@ -44,9 +44,11 @@ def hamming_graph(bits: int = 6, min_distance: int = 4) -> Graph:
     """Vertices are all words of the given width, adjacent when their
     Hamming distance is at least min_distance."""
     n = 1 << bits
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if (u ^ v).bit_count() >= min_distance]
-    return Graph(n, edges, name="hamming%d-%d" % (bits, min_distance))
+    # nonzero differences only, so no word is its own neighbor even when
+    # min_distance <= 0
+    far = [s for s in range(1, n) if s.bit_count() >= min_distance]
+    adj = [mask_of(u ^ s for s in far) for u in range(n)]
+    return Graph._trusted(adj, "hamming%d-%d" % (bits, min_distance))
 
 
 def _c_fat_blocks(n: int, c: int):
@@ -60,18 +62,20 @@ def _c_fat_blocks(n: int, c: int):
 def c_fat(n: int, c: int) -> Graph:
     """Ring of fat blocks: vertices in the same or cyclically consecutive
     blocks are adjacent."""
-    sizes = _c_fat_blocks(n, c)
-    k = len(sizes)
-    block = []
-    for i, size in enumerate(sizes):
-        block.extend([i] * size)
-    edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = (block[v] - block[u]) % k
-            if d == 0 or d == 1 or d == k - 1:
-                edges.append((u, v))
-    return Graph(n, edges, name="c-fat%d-%d" % (n, c))
+    if n < 2 or c <= 0 or int(n / (c * log(n))) < 1:
+        raise ValueError("c_fat(%r, %r) has no block: it needs "
+                         "int(n / (c ln n)) >= 1" % (n, c))
+    blocks = []
+    start = 0
+    for size in _c_fat_blocks(n, c):
+        blocks.append(((1 << size) - 1) << start)
+        start += size
+    k = len(blocks)
+    adj = []
+    for i, block in enumerate(blocks):
+        near = blocks[i - 1] | block | blocks[(i + 1) % k]
+        adj.extend(near & ~(1 << v) for v in bits(block))
+    return Graph._trusted(adj, "c-fat%d-%d" % (n, c))
 
 
 BENCHMARKS = {

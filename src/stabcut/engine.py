@@ -134,6 +134,9 @@ def cutting_plane_run(g: Graph, params: SeparationParams = None,
             out = sep_for_stab(g, x, params, procedure, rng, pool=pool)
             for cut in out.cuts:
                 ineq = cut.inequality.normalized()
+                if ineq.key() in keys:
+                    # a cover or pool clique, or a cut checked before
+                    continue
                 try:
                     report = check_validity(g, ineq, max_nodes=VERIFY_MAX_NODES)
                 except LiftingAborted:
@@ -141,8 +144,8 @@ def cutting_plane_run(g: Graph, params: SeparationParams = None,
                 if not report.valid:
                     raise RuntimeError("separation produced an invalid cut: %s"
                                        % ineq.to_text())
-                if add_row(ineq):
-                    counts[classify_cut(g, ineq)] += 1
+                add_row(ineq)
+                counts[classify_cut(g, ineq)] += 1
         if len(rows) == rows_before:
             status = "no_more_cuts"
             break

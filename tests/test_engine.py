@@ -1,11 +1,14 @@
 import random
 
+from stabcut import engine
+from stabcut.benchmarks import hamming_graph
 from stabcut.engine import (BoundReport, classify_cut, cutting_plane_run,
                             edge_clique_cover)
 from stabcut.graph import Graph, random_graph
-from stabcut.lifting import Inequality
+from stabcut.lifting import Inequality, check_validity
 from stabcut.mwss import maximum_stable_set
 from stabcut.separation import SeparationParams
+from stabcut.simplex import lp_solve
 
 
 def c5():
@@ -115,3 +118,27 @@ def test_unknown_procedure_rejected():
         pass
     else:
         assert False
+
+
+def test_no_cut_already_in_the_lp_is_checked(monkeypatch):
+    # two basic rounds on hamming6-4's complement separate 40 cuts, 4 of
+    # them rows of the LP already
+    seen = {}
+
+    def lp(n, rows, warm=None):
+        seen["rows"] = rows
+        return lp_solve(n, rows, warm=warm)
+
+    checked = []
+
+    def check(g, ineq, **kw):
+        in_lp = {Inequality(coeffs, rhs).key() for coeffs, rhs in seen["rows"]}
+        checked.append(ineq.key() in in_lp)
+        return check_validity(g, ineq, **kw)
+
+    monkeypatch.setattr(engine, "lp_solve", lp)
+    monkeypatch.setattr(engine, "check_validity", check)
+    g = hamming_graph(6, 4).complement(name="hamming6-4")
+    report = cutting_plane_run(g, procedure="basic", max_rounds=2)
+    assert report.rounds == 2
+    assert checked and not any(checked)
