@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import log
 
-from .graph import Graph, bits, mask_of
+from .graph import Graph, mask_of
 
 
 def _sts9_lines():
@@ -65,16 +65,17 @@ def c_fat(n: int, c: int) -> Graph:
     if n < 2 or c <= 0 or int(n / (c * log(n))) < 1:
         raise ValueError("c_fat(%r, %r) has no block: it needs "
                          "int(n / (c ln n)) >= 1" % (n, c))
-    blocks = []
+    spans = []
     start = 0
     for size in _c_fat_blocks(n, c):
-        blocks.append(((1 << size) - 1) << start)
+        spans.append(range(start, start + size))
         start += size
+    blocks = [mask_of(span) for span in spans]
     k = len(blocks)
     adj = []
-    for i, block in enumerate(blocks):
-        near = blocks[i - 1] | block | blocks[(i + 1) % k]
-        adj.extend(near & ~(1 << v) for v in bits(block))
+    for i, span in enumerate(spans):
+        near = blocks[i - 1] | blocks[i] | blocks[(i + 1) % k]
+        adj.extend(near & ~(1 << v) for v in span)
     return Graph._trusted(adj, "c-fat%d-%d" % (n, c))
 
 

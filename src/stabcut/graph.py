@@ -54,7 +54,9 @@ class Graph:
     @classmethod
     def _trusted(cls, adj, name: str) -> Graph:
         """Graph over adjacency masks already known to be valid; the one
-        constructor that skips validation."""
+        constructor that skips validation. Its callers build the masks
+        themselves: `complement`, the clique projection in `projection`,
+        and the `benchmarks` generators `c_fat` and `hamming_graph`."""
         g = cls.__new__(cls)
         g.n = len(adj)
         g.adj = tuple(adj)
