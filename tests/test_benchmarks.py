@@ -8,13 +8,13 @@ from stabcut.graph import Graph, bits, parse_dimacs, serialize_dimacs
 from stabcut.mwss import maximum_stable_set
 
 
-def reference_hamming(bits, min_distance):
+def reference_hamming(width, min_distance):
     """The definition, pair by pair: words at Hamming distance at least
     min_distance are adjacent."""
-    n = 1 << bits
+    n = 1 << width
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)
              if (u ^ v).bit_count() >= min_distance]
-    return Graph(n, edges, name="hamming%d-%d" % (bits, min_distance))
+    return Graph(n, edges, name="hamming%d-%d" % (width, min_distance))
 
 
 def reference_c_fat(n, c):
