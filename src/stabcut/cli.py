@@ -369,10 +369,15 @@ def cmd_facet_check(args) -> int:
     else:
         raise SystemExit("facet-check needs a witness file or --find")
 
-    # one lift serves every witness; none is made when no witness was found
-    cut = None
-    if found and trace.base.n <= ORACLE_LIMIT and seed is not None:
-        cut = strengthened_lift(trace, seed=seed)
+    # one lift, or without a seed one walk face, serves every witness;
+    # neither is made when no witness was found
+    cut = dim_face = None
+    if found and trace.base.n <= ORACLE_LIMIT:
+        if seed is not None:
+            cut = strengthened_lift(trace, seed=seed)
+        else:
+            eqs = [clique_inequality(w) for w in trace.cliques]
+            dim_face = face_dimension(trace.base, eqs).affine_dim
     reports = []
     for witness, conditions in found:
         entry = witness.to_payload()
@@ -385,9 +390,8 @@ def cmd_facet_check(args) -> int:
             entry["dim_tight"] = rep.dim_tight
             entry["facet"] = rep.facet
             entry["prediction_agrees"] = rep.agrees
-        elif trace.base.n <= ORACLE_LIMIT:
-            eqs = [clique_inequality(w) for w in trace.cliques]
-            entry["dim_face"] = face_dimension(trace.base, eqs).affine_dim
+        elif dim_face is not None:
+            entry["dim_face"] = dim_face
         reports.append(entry)
 
     if args.format == "csv":

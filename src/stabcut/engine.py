@@ -15,7 +15,7 @@ from .cliques import grow_clique, rounding_lower_bound
 from .graph import Graph, mask_of
 from .lifting import LiftingAborted, check_validity, clique_inequality
 from .separation import SeparationParams, build_clique_pool, sep_for_stab
-from .simplex import LpStalled, lp_solve
+from .simplex import LpStalled, lp_solve, rejected_coefficient
 
 INT_TOL = 1e-6
 # search nodes for the exact check of each lifted cut before it enters the LP
@@ -77,8 +77,9 @@ def cutting_plane_run(g: Graph, params: SeparationParams = None,
     separation with the matching lifting. Every lifted cut is re-verified
     against the graph before entering the LP; a cut that cannot be verified
     within VERIFY_MAX_NODES search nodes is dropped, a provably invalid one
-    is a bug and raises. Only time_limit, checked between rounds, reads the
-    clock.
+    is a bug and raises, and a valid one whose coefficients lp_solve cannot
+    take (simplex.rejected_coefficient) is dropped. Only time_limit, checked
+    between rounds, reads the clock.
     """
     if procedure not in ("clique", "basic", "strengthened"):
         raise ValueError("unknown procedure %r" % procedure)
@@ -144,6 +145,9 @@ def cutting_plane_run(g: Graph, params: SeparationParams = None,
                 if not report.valid:
                     raise RuntimeError("separation produced an invalid cut: %s"
                                        % ineq.to_text())
+                if rejected_coefficient(ineq.coeffs) is not None:
+                    # too wide a coefficient range for the LP to take
+                    continue
                 add_row(ineq)
                 counts[classify_cut(g, ineq)] += 1
         if len(rows) == rows_before:

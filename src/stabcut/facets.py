@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, bits, mask_of
-from .lifting import Inequality, LiftedCut, clique_inequality
+from .lifting import Inequality, LiftedCut
 from .mwss import enumerate_stable_sets
 from .projection import ProjectionTrace
 
@@ -26,37 +26,8 @@ WITNESS_MAX_K = 3
 class FacetWitness:
     k: int
     classes: tuple
-    hyperedges: tuple
     outside: tuple
     representative: tuple = None
-
-    @classmethod
-    def build(cls, n, classes, hyperedges, representative=None):
-        classes = tuple(tuple(sorted(c)) for c in classes)
-        hyperedges = tuple(tuple(sorted(w)) for w in hyperedges)
-        k = len(classes)
-        union = set()
-        for w in hyperedges:
-            union.update(w)
-        seen = set()
-        for c in classes:
-            if seen & set(c):
-                raise ValueError("classes overlap")
-            seen.update(c)
-        if seen != union:
-            raise ValueError("classes must cover exactly the clique union")
-        outside = tuple(v for v in range(n) if v not in seen)
-        rep = None
-        if representative is not None:
-            rep = tuple(sorted(representative))
-            for i, c in enumerate(classes):
-                want = 1 if i < k - 1 else 0
-                if len(set(rep) & set(c)) != want:
-                    raise ValueError("representative must pick one vertex per "
-                                     "class except the last")
-            if len(rep) != k - 1:
-                raise ValueError("representative has stray vertices")
-        return cls(k, classes, hyperedges, outside, rep)
 
     def to_payload(self):
         payload = {"k": self.k, "classes": [list(c) for c in self.classes]}
@@ -67,8 +38,31 @@ class FacetWitness:
 
 def witness_from_trace(trace: ProjectionTrace, classes,
                        representative=None) -> FacetWitness:
-    return FacetWitness.build(trace.base.n, classes, trace.cliques,
-                              representative)
+    """The witness with these classes for the trace's walk. The classes must
+    be disjoint vertex sets of the base graph that cover exactly the walk's
+    cliques; a representative picks one vertex of each class but the last."""
+    g = trace.base
+    classes = tuple(tuple(sorted(c)) for c in classes)
+    masks = [g.vertex_mask(c) for c in classes]
+    seen = 0
+    for c in masks:
+        if seen & c:
+            raise ValueError("classes overlap")
+        seen |= c
+    if seen != mask_of(v for w in trace.cliques for v in w):
+        raise ValueError("classes must cover exactly the clique union")
+    k = len(classes)
+    rep = None
+    if representative is not None:
+        rmask = g.vertex_mask(representative)
+        if any((rmask & c).bit_count() != (i < k - 1)
+               for i, c in enumerate(masks)):
+            raise ValueError("representative must pick one vertex per "
+                             "class except the last")
+        if rmask & ~seen:
+            raise ValueError("representative has stray vertices")
+        rep = tuple(bits(rmask))
+    return FacetWitness(k, classes, tuple(bits(g.full_mask & ~seen)), rep)
 
 
 @dataclass
@@ -85,12 +79,13 @@ def _restricted(trace, witness, t):
     return classes, trace.base.full_mask & ~union
 
 
-def check_interWV(witness: FacetWitness, t: int) -> bool:
+def check_interWV(trace: ProjectionTrace, witness: FacetWitness,
+                  t: int) -> bool:
     """Each of the first t cliques meets every class exactly once."""
     classes = [mask_of(c) for c in witness.classes]
-    return all(len(w) == witness.k
-               and all((mask_of(w) & c).bit_count() == 1 for c in classes)
-               for w in witness.hyperedges[:t])
+    return all(w.bit_count() == witness.k
+               and all((w & c).bit_count() == 1 for c in classes)
+               for w in trace.masks[:t])
 
 
 def check_condition_I(trace: ProjectionTrace, witness: FacetWitness,
@@ -104,16 +99,18 @@ def check_condition_I(trace: ProjectionTrace, witness: FacetWitness,
     return all(g.is_stable(c) for c in classes)
 
 
-def check_strong_hypertree(witness: FacetWitness, t: int = None) -> bool:
-    """Backtracking elimination: repeatedly remove a vertex that lies in a
-    single clique sharing exactly k-1 vertices with another clique, together
-    with that clique, until one clique covering everything remains."""
-    edges = witness.hyperedges if t is None else witness.hyperedges[:t]
+def check_strong_hypertree(trace: ProjectionTrace, witness: FacetWitness,
+                           t: int = None) -> bool:
+    """Backtracking elimination over the first t cliques (all by default):
+    repeatedly remove a vertex that lies in a single clique sharing exactly
+    k-1 vertices with another clique, together with that clique, until one
+    clique covering everything remains."""
+    edges = trace.masks[:t]
     if not edges:
         return True
     k = witness.k
-    start = frozenset(mask_of(w) for w in edges)
-    verts = mask_of(v for w in edges for v in w)
+    start = frozenset(edges)
+    verts = mask_of(v for w in trace.cliques[:t] for v in w)
     memo = {}
 
     def solve(vs, es):
@@ -206,8 +203,26 @@ def check_seed(trace: ProjectionTrace, witness: FacetWitness, seed) -> bool:
                    for v in bits(gr.full_mask & ~smask))
 
 
-def _affine_basis(points):
-    """Exact affine rank of 0/1 points with the spanning subset used."""
+def _face(g: Graph, masks=(), equalities=()):
+    """The one face filter: the stable sets of g, as masks, that meet each
+    given mask exactly once and satisfy each given inequality at equality.
+    It enumerates, so g may have at most ORACLE_LIMIT vertices."""
+    if g.n > ORACLE_LIMIT:
+        raise ValueError("faces are listed by enumeration; n must be <= %d"
+                         % ORACLE_LIMIT)
+    return [s for s in enumerate_stable_sets(g)
+            if all((s & m).bit_count() == 1 for m in masks)
+            and all(_tight(ineq, s) for ineq in equalities)]
+
+
+def _tight(ineq: Inequality, s: int) -> bool:
+    return sum(c for v, c in ineq.coeffs.items() if s >> v & 1) == ineq.rhs
+
+
+def _affine_basis(n, face):
+    """Exact affine rank of the face's stable sets as 0/1 points of length
+    n, with the spanning subset used."""
+    points = [tuple(s >> v & 1 for v in range(n)) for s in face]
     if not points:
         return -1, []
     base = points[0]
@@ -233,15 +248,7 @@ def _affine_basis(points):
 def face_dimension(g: Graph, equalities) -> DimensionCertificate:
     """Affine dimension of the stable sets satisfying every given inequality
     at equality, by full enumeration; -1 when the face is empty."""
-    if g.n > ORACLE_LIMIT:
-        raise ValueError("face_dimension enumerates; n must be <= %d"
-                         % ORACLE_LIMIT)
-    points = []
-    for mask in enumerate_stable_sets(g):
-        vec = tuple(mask >> v & 1 for v in range(g.n))
-        if all(ineq.value(vec) == ineq.rhs for ineq in equalities):
-            points.append(vec)
-    dim, chosen = _affine_basis(points)
+    dim, chosen = _affine_basis(g.n, _face(g, equalities=equalities))
     return DimensionCertificate(dim, chosen)
 
 
@@ -250,17 +257,10 @@ def _dimension_pair(cut: LiftedCut, t: int):
     are tight, and of its subface where the cut's level-t form is tight too;
     that form defines a facet exactly when the second is one less."""
     g = cut.trace.base
-    equalities = [clique_inequality(w) for w in cut.trace.cliques[:t]]
-    whole = face_dimension(g, equalities)
-    tight = face_dimension(g, equalities + [cut.level_form(t)])
-    return whole.affine_dim, tight.affine_dim
-
-
-def _face_masks(g, cliques):
-    """Stable sets meeting each of the given cliques exactly once."""
-    cmasks = [mask_of(w) for w in cliques]
-    return [mask for mask in enumerate_stable_sets(g)
-            if all((mask & cm).bit_count() == 1 for cm in cmasks)]
+    face = _face(g, cut.trace.masks[:t])
+    form = cut.level_form(t)
+    tight = [s for s in face if _tight(form, s)]
+    return _affine_basis(g.n, face)[0], _affine_basis(g.n, tight)[0]
 
 
 def assert_facet_of_Ft(cut: LiftedCut, t: int) -> bool:
@@ -278,7 +278,7 @@ def verify_class_equality(trace: ProjectionTrace, witness: FacetWitness,
     restricted to the level being checked."""
     classes = [mask_of(c) for c in witness.classes]
     return all(mask & c in (0, c)
-               for mask in _face_masks(trace.base, trace.cliques[:t])
+               for mask in _face(trace.base, trace.masks[:t])
                for c in classes)
 
 
@@ -292,14 +292,13 @@ def verify_isomorphism(trace: ProjectionTrace, witness: FacetWitness,
         else witness.representative
     if rep is None:
         raise ValueError("no representative set given")
-    witness = FacetWitness.build(trace.base.n, witness.classes,
-                                 witness.hyperedges, rep)
+    witness = witness_from_trace(trace, witness.classes, rep)
     rep = mask_of(witness.representative)
     outside = mask_of(witness.outside)
     keep = outside | rep
     sub_points = {s for s in enumerate_stable_sets(trace.final_graph)
                   if not s & ~keep}
-    face = _face_masks(trace.base, trace.cliques)
+    face = _face(trace.base, trace.masks)
     # equal counts, distinct images inside sub_points and the round trip
     # make the map a bijection whose points each hold one whole class
     if len(face) != len(sub_points):
@@ -328,9 +327,9 @@ def condition_report(trace: ProjectionTrace, witness: FacetWitness,
     r = trace.r
     ts = range(1, r + 1)
     report = {
-        "interWV": all(check_interWV(witness, t) for t in ts),
+        "interWV": all(check_interWV(trace, witness, t) for t in ts),
         "I": all(check_condition_I(trace, witness, t) for t in ts),
-        "II": all(check_strong_hypertree(witness, t) for t in ts),
+        "II": all(check_strong_hypertree(trace, witness, t) for t in ts),
         "III": all(check_condition_III(trace, witness, t) for t in ts),
         "IV": check_condition_IV(trace, witness),
         "V": check_condition_V(trace, witness),

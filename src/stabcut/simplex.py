@@ -64,6 +64,21 @@ def _ratio_test(w, sigma, xb, up, span):
     return tmin, int(near[int(np.argmax(np.abs(w[near])))])
 
 
+def rejected_coefficient(coeffs):
+    """The lowest variable whose coefficient keeps lp_solve from taking a
+    row of {var: coef} coefficients, or None. lp_solve divides the row by
+    max(1, its largest |coefficient|), and its ratio tests would read a
+    nonzero coefficient left below PIVOT_TOL, or at 0 by underflow, as 0,
+    so the reported optimum could be wrong."""
+    sizes = list(map(abs, coeffs.values()))
+    scale = max(1.0, float(max(sizes, default=0)))
+    # division is monotone, so the smallest |coefficient| decides most rows
+    if float(min(sizes, default=scale)) / scale >= PIVOT_TOL:
+        return None
+    return min((v for v, c in coeffs.items()
+                if c and abs(float(c)) / scale < PIVOT_TOL), default=None)
+
+
 class LpStalled(RuntimeError):
     """The solve hit its iteration cap before reaching optimality."""
 
@@ -111,8 +126,7 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     at a time.
 
     Raises ValueError on non-finite input, on a negative right side, and on
-    a nonzero coefficient below PIVOT_TOL, or 0 by underflow, once its row
-    is divided by its largest entry (when that exceeds 1).
+    a row that rejected_coefficient names a variable of.
     """
     import numpy as np
 
@@ -139,7 +153,6 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
     # the slack columns are stored after it, so no product changes a bit.
     amat = np.zeros((m, -(-n // 4) * 4))
     b = np.zeros(m)
-    scales = np.ones(m)
     for i, (coeffs, rhs) in enumerate(rows):
         if not math.isfinite(rhs):
             raise ValueError("row %d has non-finite right side %r" % (i, rhs))
@@ -152,26 +165,21 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
                 raise ValueError("row %d has non-finite coefficient %r on "
                                  "variable %d" % (i, coef, v))
             amat[i, v] = coef
-        if coeffs:
-            scales[i] = max(1.0, max(abs(coef) for coef in coeffs.values()))
         b[i] = rhs
     # equilibrate: lifted cuts can carry coefficients orders of magnitude
     # above the clique rows, which wrecks basis conditioning. Dividing a
-    # row by its largest entry changes nothing about the feasible set.
-    nonzero = amat[:, :n] != 0
+    # row by max(1, its largest |entry|) changes nothing about the
+    # feasible set.
+    scales = np.abs(amat).max(axis=1, initial=1.0)
     amat /= scales[:, None]
     b /= scales
-    # the ratio tests skip pivots within PIVOT_TOL of zero, so a smaller
-    # nonzero coefficient, given or left by the division (which can
-    # underflow to 0), would be read as 0 and the reported optimum could
-    # be wrong
-    tiny = np.argwhere(nonzero & (np.abs(amat[:, :n]) < PIVOT_TOL))
-    if tiny.size:
-        i, v = (int(k) for k in tiny[0])
-        raise ValueError("row %d has coefficient %r on variable %d, of size "
-                         "%g after row equilibration, below PIVOT_TOL=%g"
-                         % (i, rows[i][0][v], v, abs(float(amat[i, v])),
-                            PIVOT_TOL))
+    for i, (coeffs, _) in enumerate(rows):
+        v = rejected_coefficient(coeffs)
+        if v is not None:
+            raise ValueError(
+                "row %d has coefficient %r on variable %d, of size %g after "
+                "row equilibration, below PIVOT_TOL=%g"
+                % (i, coeffs[v], v, abs(float(amat[i, v])), PIVOT_TOL))
 
     c = np.zeros(total)
     c[:n] = objective
@@ -421,8 +429,11 @@ def lp_solve(n: int, rows, objective=None, max_iterations=None,
         w = column(j)
 
         t, leave = _ratio_test(w, sigma, xb, upper[basis], upper[j])
-        if leave is None and math.isinf(t):
-            # cannot happen for a bounded objective; bail out defensively
+        if math.isinf(t):
+            # an entering slack that no row blocks: the step, and with it
+            # the objective, would be unbounded, which 0 <= x <= 1 rules
+            # out up to rounding. The ratio test then names a row all the
+            # same, so the test is on the step alone; the solve ends stalled
             break
         if leave is None:
             at_upper[j] = not at_upper[j]

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from conftest import EXAMPLE8_EDGES, NoClock
-from stabcut import cli, mwss
+from test_golden import GOLDEN
+from stabcut import cli, facets, mwss
 from stabcut.benchmarks import BENCHMARKS
 from stabcut.cli import main
 from stabcut.engine import VERIFY_MAX_NODES
@@ -447,6 +448,10 @@ BAD_INPUTS = {
                                  "bad.json"], "bad.json"),
     "witness that is a list": (["facet-check", "trace.json", "--witness",
                                 "list.json"], "list.json"),
+    "witness class repeating a vertex": (["facet-check", "trace.json",
+                                          "--witness", "repeat.json",
+                                          "--lift-seed", "1,4,5,6,7"],
+                                         "repeat.json"),
     "trace clique past n": (["facet-check", "far_clique.json", "--find"],
                             "far_clique.json"),
     "trace with negative n": (["facet-check", "negative_n.json", "--find"],
@@ -472,6 +477,8 @@ def one_line_error(argv, tmp_path):
             {"n": n, "edges": [], "steps": []}))
     (tmp_path / "witness.json").write_text(json.dumps(
         {"classes": [[1, 3], [2, 4], [0]], "representative": [1, 2]}))
+    (tmp_path / "repeat.json").write_text(json.dumps(
+        {"classes": [[1, 1, 3], [2, 4], [0]]}))
     (tmp_path / "sub").mkdir()
     example8_trace_file(tmp_path)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -542,6 +549,61 @@ def test_usage_error_is_one_line(case, tmp_path):
     # error, reported in one line that the option's checks word
     argv, line = BAD_USAGE[case]
     assert one_line_error(argv, tmp_path) == line
+
+
+def test_facet_check_without_a_seed_reports_the_walk_face_once(
+        capsys, monkeypatch):
+    # without --lift-seed no cut is lifted; each witness reports the
+    # dimension of the face of the whole walk, which depends on the trace
+    # alone and is computed once for all of them
+    calls = []
+
+    def counting_face_dimension(g, equalities):
+        calls.append(len(equalities))
+        return facets.face_dimension(g, equalities)
+
+    monkeypatch.setattr(cli, "face_dimension", counting_face_dimension)
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_cli(capsys, "facet-check", "example8_trace.json",
+                             "--find", "--format", "csv")
+    assert code == 0
+    assert err == "found 2 witnesses\n"
+    assert out == (
+        'witness,key,value\n'
+        '0,classes,"[[1, 3], [2, 4], [0]]"\n'
+        '0,conditions,"{""interWV"": true, ""I"": true, ""II"": true, '
+        '""III"": true, ""IV"": true, ""V"": true}"\n'
+        '0,dim_face,5\n'
+        '0,k,3\n'
+        '0,predicted_facet,true\n'
+        '1,classes,"[[2, 4], [1, 3], [0]]"\n'
+        '1,conditions,"{""interWV"": true, ""I"": true, ""II"": true, '
+        '""III"": true, ""IV"": true, ""V"": true}"\n'
+        '1,dim_face,5\n'
+        '1,k,3\n'
+        '1,predicted_facet,true\n')
+    assert calls == [3]
+
+
+def test_golden_facet_check_enumerates_stable_sets_twice(capsys, monkeypatch):
+    # each witness's facet report lists the level face once and reads the
+    # cut's tight subface off that list, so the two witnesses found cost two
+    # enumerations of the stable sets
+    calls = []
+
+    def counting_enumeration(g):
+        calls.append(g.n)
+        return mwss.enumerate_stable_sets(g)
+
+    monkeypatch.setattr(facets, "enumerate_stable_sets", counting_enumeration)
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run_cli(capsys, "facet-check", "example8_trace.json",
+                           "--find", "--lift-seed", "1,4,5,6,7",
+                           "--format", "json")
+    assert code == 0
+    with open("facet_check_example8.json", newline="") as fh:
+        assert out == fh.read()
+    assert len(calls) <= 2
 
 
 BAD_LIFT_SEEDS = {

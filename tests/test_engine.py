@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 from stabcut import engine
 from stabcut.benchmarks import hamming_graph
@@ -7,8 +8,8 @@ from stabcut.engine import (BoundReport, classify_cut, cutting_plane_run,
 from stabcut.graph import Graph, random_graph
 from stabcut.lifting import Inequality, check_validity
 from stabcut.mwss import maximum_stable_set
-from stabcut.separation import SeparationParams
-from stabcut.simplex import lp_solve
+from stabcut.separation import SeparationOutcome, SeparationParams
+from stabcut.simplex import lp_solve, rejected_coefficient
 
 
 def c5():
@@ -142,3 +143,20 @@ def test_no_cut_already_in_the_lp_is_checked(monkeypatch):
     report = cutting_plane_run(g, procedure="basic", max_rounds=2)
     assert report.rounds == 2
     assert checked and not any(checked)
+
+
+def test_a_valid_cut_the_lp_cannot_take_is_dropped(monkeypatch):
+    # 10**8 x0 + x1 <= 10**8 is valid on c5, whose vertices 0 and 1 are
+    # adjacent, but row equilibration leaves x1 a coefficient of 1e-8, below
+    # PIVOT_TOL; the run drops the cut instead of ending in lp_solve's
+    # ValueError
+    g = c5()
+    wide = Inequality({0: 10 ** 8, 1: 1}, 10 ** 8)
+    assert check_validity(g, wide).valid
+    assert rejected_coefficient(wide.coeffs) == 1
+    outcome = SeparationOutcome([SimpleNamespace(inequality=wide)], 0, 0, 0)
+    monkeypatch.setattr(engine, "sep_for_stab", lambda *a, **kw: outcome)
+    report = cutting_plane_run(g, procedure="basic", max_rounds=3)
+    assert report.status == "no_more_cuts"
+    assert report.rounds == 1 and report.cuts_added == 0
+    assert abs(report.bound - 2.5) <= 1e-9

@@ -6,7 +6,7 @@ from conftest import (EXAMPLE8_SEED, EXAMPLE8_W1, EXAMPLE8_W2, EXAMPLE8_W3,
                       random_maximal_clique, random_trace)
 
 from stabcut.cliques import enumerate_cliques_bounded
-from stabcut.facets import (WITNESS_MAX_K, FacetWitness, assert_facet_of_Ft,
+from stabcut.facets import (WITNESS_MAX_K, assert_facet_of_Ft,
                             check_condition_I, check_condition_IV,
                             check_condition_V, check_condition_III,
                             check_interWV, check_seed, check_strong_hypertree,
@@ -34,14 +34,17 @@ def path6_trace(path6):
 
 
 def test_witness_build_validates():
+    trace = ProjectionTrace(Graph(5, [(0, 1), (1, 2)]))
+    for w in ((0, 1), (1, 2)):
+        trace = extend_trace(trace, w)
     try:
-        FacetWitness.build(5, [(0, 1), (1, 2)], [(0, 1), (1, 2)])
+        witness_from_trace(trace, [(0, 1), (1, 2)])
     except ValueError:
         pass
     else:
         assert False
     try:
-        FacetWitness.build(5, [(0,), (1,)], [(0, 1), (1, 2)])
+        witness_from_trace(trace, [(0,), (1,)])
     except ValueError:
         pass
     else:
@@ -60,9 +63,9 @@ def test_witness_representative_validated(example8_trace):
 def test_interWV_on_example(example8_trace):
     witness = ex8_witness(example8_trace)
     for t in (1, 2, 3):
-        assert check_interWV(witness, t)
+        assert check_interWV(example8_trace, witness, t)
     skew = witness_from_trace(example8_trace, [(1,), (2, 3, 4), (0,)])
-    assert not check_interWV(skew, 2)
+    assert not check_interWV(example8_trace, skew, 2)
 
 
 def test_condition_I_on_example(example8_trace):
@@ -78,21 +81,26 @@ def test_condition_I_rejects_wrong_clique_size():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     trace = extend_trace(ProjectionTrace(g), (0, 1))
     trace = extend_trace(trace, (2, 3, 4))
-    witness = FacetWitness.build(5, [(0, 2, 4), (1, 3)], trace.cliques)
+    witness = witness_from_trace(trace, [(0, 2, 4), (1, 3)])
     assert not check_condition_I(trace, witness, 2)
 
 
 def test_strong_hypertree_chain(example8_trace):
     witness = ex8_witness(example8_trace)
     for t in (1, 2, 3):
-        assert check_strong_hypertree(witness, t)
+        assert check_strong_hypertree(example8_trace, witness, t)
 
 
 def test_strong_hypertree_edge_cases():
-    single = FacetWitness.build(3, [(0,), (1,), (2,)], [(0, 1, 2)])
-    assert check_strong_hypertree(single)
-    disjoint = FacetWitness.build(4, [(0, 2), (1, 3)], [(0, 1), (2, 3)])
-    assert not check_strong_hypertree(disjoint)
+    triangle = extend_trace(ProjectionTrace(Graph(3, [(0, 1), (0, 2), (1, 2)])),
+                            (0, 1, 2))
+    single = witness_from_trace(triangle, [(0,), (1,), (2,)])
+    assert check_strong_hypertree(triangle, single)
+    two_edges = ProjectionTrace(Graph(4, [(0, 1), (2, 3)]))
+    for w in ((0, 1), (2, 3)):
+        two_edges = extend_trace(two_edges, w)
+    disjoint = witness_from_trace(two_edges, [(0, 2), (1, 3)])
+    assert not check_strong_hypertree(two_edges, disjoint)
 
 
 def test_condition_III_on_example(example8_trace):
@@ -355,9 +363,9 @@ def test_facet_checkers_keep_recorded_verdicts():
         labelings += [w.classes for w, _ in found]
         for classes in labelings:
             witness = witness_from_trace(trace, classes)
-            levels = [(check_interWV(witness, t),
+            levels = [(check_interWV(trace, witness, t),
                        check_condition_I(trace, witness, t),
-                       check_strong_hypertree(witness, t),
+                       check_strong_hypertree(trace, witness, t),
                        check_condition_III(trace, witness, t))
                       for t in range(1, r + 1)]
             equal = [verify_class_equality(trace, witness, t)

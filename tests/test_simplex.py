@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from reference_simplex import reference_lp_solve
-from stabcut import engine
+from stabcut import engine, simplex
 from stabcut.benchmarks import BENCHMARKS
 from stabcut.graph import random_graph
 from stabcut.lifting import clique_inequality
@@ -416,6 +416,36 @@ def cover_lp(name):
     g = BENCHMARKS[name]().complement()
     ineqs = [clique_inequality(w) for w in engine.edge_clique_cover(g)]
     return g.n, [(dict(q.coeffs), q.rhs) for q in ineqs]
+
+
+def test_an_unbounded_slack_step_ends_the_solve(monkeypatch):
+    # An entering slack ranges up to inf. When no row blocks it, the ratio
+    # test returns an infinite step together with a row, the first of
+    # largest |w|, so only a guard on the step alone can fire. Planted on
+    # the first slack step of hamming6-4's cover LP, the solve ends stalled
+    # at that step; taking it instead ran 25 more ratio tests into a stall
+    # at a value of 25.79.
+    inf = math.inf
+    assert _ratio_test(np.array([0.0, 1e-9, -0.5]), 1.0,
+                       np.array([0.3, 0.2, 0.1]), np.array([inf, 1.0, inf]),
+                       inf) == (inf, 2)
+    n, rows = cover_lp("hamming6-4")
+    res = lp_solve(n, rows)
+    assert (res.status, res.iterations) == ("optimal", 142)
+    assert abs(res.value - 5.976784334995676) <= 1e-9
+    slack_steps = []
+
+    def planted(w, sigma, xb, up, span):
+        slack_steps.append(math.isinf(span))
+        if slack_steps.count(True) == 1 and slack_steps[-1]:
+            # no row blocks the first slack that enters
+            w = np.zeros_like(w)
+        return _ratio_test(w, sigma, xb, up, span)
+
+    monkeypatch.setattr(simplex, "_ratio_test", planted)
+    res = lp_solve(n, rows)
+    assert res.status == "stalled"
+    assert slack_steps.index(True) == len(slack_steps) - 1
 
 
 def traced_peak(solve):
