@@ -12,9 +12,11 @@ from .benchmarks import BENCHMARKS, KNOWN_OPTIMA
 from .engine import BoundReport, cutting_plane_run
 from .facets import (
     FacetWitness,
+    condition_report,
     face_dimension,
     facet_report,
     find_witnesses,
+    level_dimensions,
     witness_from_trace,
 )
 from .graph import Graph, parse_dimacs, random_graph, read_dimacs, serialize_dimacs
@@ -56,6 +58,7 @@ __all__ = [
     "check_validity",
     "clique_inequality",
     "clique_project",
+    "condition_report",
     "cut_from_json",
     "cut_to_json",
     "cutting_plane_run",
@@ -64,6 +67,7 @@ __all__ = [
     "face_dimension",
     "facet_report",
     "find_witnesses",
+    "level_dimensions",
     "lp_solve",
     "max_weight_stable_set",
     "maximum_stable_set",

@@ -49,6 +49,7 @@ from .facets import (
     face_dimension,
     facet_report,
     find_witnesses,
+    level_dimensions,
     witness_from_trace,
 )
 from .graph import Graph, random_graph, read_dimacs
@@ -56,7 +57,6 @@ from .lifting import (
     Inequality,
     LiftingAborted,
     check_validity,
-    clique_inequality,
     cut_from_json,
     cut_to_json,
     replay_consistent,
@@ -251,8 +251,10 @@ def cmd_bound(args) -> int:
 
 
 def _run_jobs(jobs, workers):
-    """_bound_job over jobs, in order, on up to workers processes."""
-    if workers > 1 and len(jobs) > 1:
+    """_bound_job over jobs, in order, on up to workers processes and never
+    more processes than jobs, since the pool starts all of its workers."""
+    workers = min(workers, len(jobs))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -369,29 +371,27 @@ def cmd_facet_check(args) -> int:
     else:
         raise SystemExit("facet-check needs a witness file or --find")
 
-    # one lift, or without a seed one walk face, serves every witness;
-    # neither is made when no witness was found
-    cut = dim_face = None
+    # one lift and one listing of the walk face serve every witness; neither
+    # is made when no witness was found. Without a seed only the face's
+    # dimension is reported
+    level, form = {}, None
     if found and trace.base.n <= ORACLE_LIMIT:
         if seed is not None:
             cut = strengthened_lift(trace, seed=seed)
-        else:
-            eqs = [clique_inequality(w) for w in trace.cliques]
-            dim_face = face_dimension(trace.base, eqs).affine_dim
+            level["cut"] = cut.inequality.to_text()
+            form = cut.level_form(trace.r)
+        dims = level_dimensions(trace, trace.r, form)
+        level["dim_face"] = dims[0]
     reports = []
     for witness, conditions in found:
         entry = witness.to_payload()
         entry["conditions"] = conditions
         entry["predicted_facet"] = all(conditions.values())
-        if cut is not None:
-            rep = facet_report(witness, cut, trace.r, conditions)
-            entry["cut"] = cut.inequality.to_text()
-            entry["dim_face"] = rep.dim_face
-            entry["dim_tight"] = rep.dim_tight
-            entry["facet"] = rep.facet
-            entry["prediction_agrees"] = rep.agrees
-        elif dim_face is not None:
-            entry["dim_face"] = dim_face
+        entry.update(level)
+        if form is not None:
+            rep = facet_report(conditions, dims)
+            entry.update(dim_tight=rep.dim_tight, facet=rep.facet,
+                         prediction_agrees=rep.agrees)
         reports.append(entry)
 
     if args.format == "csv":

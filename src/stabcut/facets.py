@@ -252,23 +252,23 @@ def face_dimension(g: Graph, equalities) -> DimensionCertificate:
     return DimensionCertificate(dim, chosen)
 
 
-def _dimension_pair(cut: LiftedCut, t: int):
-    """Affine dimensions of the level-t face, where the first t walk cliques
-    are tight, and of its subface where the cut's level-t form is tight too;
-    that form defines a facet exactly when the second is one less."""
-    g = cut.trace.base
-    face = _face(g, cut.trace.masks[:t])
-    form = cut.level_form(t)
-    tight = [s for s in face if _tight(form, s)]
-    return _affine_basis(g.n, face)[0], _affine_basis(g.n, tight)[0]
+def level_dimensions(trace: ProjectionTrace, t: int, form: Inequality = None):
+    """Affine dimensions of the level-t face of the trace, where its first t
+    walk cliques are tight, and, given an inequality, of the subface where it
+    is tight too (None without one). The face is listed once; the inequality
+    defines a facet of it exactly when the second is one less."""
+    g = trace.base
+    face = _face(g, trace.masks[:t])
+    tight = None if form is None else \
+        _affine_basis(g.n, [s for s in face if _tight(form, s)])[0]
+    return _affine_basis(g.n, face)[0], tight
 
 
 def assert_facet_of_Ft(cut: LiftedCut, t: int) -> bool:
     """Exact check that the level-t form of the cut defines a facet of the
-    level-t face of its walk: its tight set must lose exactly one affine
-    dimension."""
-    whole, tight = _dimension_pair(cut, t)
-    return tight == whole - 1
+    level-t face of its walk."""
+    level = level_dimensions(cut.trace, t, cut.level_form(t))
+    return facet_report({}, level).facet
 
 
 def verify_class_equality(trace: ProjectionTrace, witness: FacetWitness,
@@ -296,8 +296,7 @@ def verify_isomorphism(trace: ProjectionTrace, witness: FacetWitness,
     rep = mask_of(witness.representative)
     outside = mask_of(witness.outside)
     keep = outside | rep
-    sub_points = {s for s in enumerate_stable_sets(trace.final_graph)
-                  if not s & ~keep}
+    sub_points = {s for s in _face(trace.final_graph) if not s & ~keep}
     face = _face(trace.base, trace.masks)
     # equal counts, distinct images inside sub_points and the round trip
     # make the map a bijection whose points each hold one whole class
@@ -349,14 +348,12 @@ class FacetReport:
     agrees: bool
 
 
-def facet_report(witness: FacetWitness, cut: LiftedCut, t: int,
-                 conditions=None) -> FacetReport:
-    """Predicted and exact facetness of the level-t form of cut; conditions
-    default to the witness's condition_report over the cut's walk and seed."""
-    if conditions is None:
-        conditions = condition_report(cut.trace, witness, cut.seed)
+def facet_report(conditions: dict, level) -> FacetReport:
+    """Predicted and exact facetness of a level form, from a witness's
+    condition_report and the (face, tight subface) dimensions level_dimensions
+    gave for the form, so one listing of the face serves every witness."""
     predicted = all(conditions.values())
-    whole, tight = _dimension_pair(cut, t)
+    whole, tight = level
     facet = tight == whole - 1
     return FacetReport(conditions, predicted, whole, tight, facet,
                        facet if predicted else True)

@@ -24,11 +24,13 @@ from stabcut import (
     check_validity,
     clique_inequality,
     clique_project,
+    condition_report,
     cutting_plane_run,
     face_dimension,
     facet_report,
     find_witnesses,
     is_projectable_edge,
+    level_dimensions,
     lp_solve,
     max_weight_stable_set,
     maximum_stable_set,
@@ -248,7 +250,9 @@ def test_demo_facet_conditions_all_pass(example8_trace):
     witness = witness_from_trace(example8_trace, [(1, 3), (2, 4), (0,)],
                                  representative=(1, 2))
     cut = strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
-    report = facet_report(witness, cut, t=3)
+    level = level_dimensions(example8_trace, 3, cut.level_form(3))
+    report = facet_report(condition_report(example8_trace, witness, cut.seed),
+                          level)
     assert example8_trace.r == 3 and witness.k == 3
     assert all(report.conditions.values()), report.conditions
     assert report.predicted
@@ -264,7 +268,9 @@ def test_demo_strengthened_cut_is_facet_of_walk_face(example8_trace):
     witness = witness_from_trace(example8_trace, [(1, 3), (2, 4), (0,)],
                                  representative=(1, 2))
     cut = strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
-    report = facet_report(witness, cut, t=3)
+    level = level_dimensions(example8_trace, 3, cut.level_form(3))
+    report = facet_report(condition_report(example8_trace, witness, cut.seed),
+                          level)
     assert report.dim_face == 5
     assert report.dim_tight == 4
     assert report.facet and report.agrees
@@ -274,8 +280,9 @@ def test_demo_witness_search_agrees(example8_trace):
     found = find_witnesses(example8_trace, seed=EXAMPLE8_SEED)
     assert found
     cut = strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
+    level = level_dimensions(example8_trace, 3, cut.level_form(3))
     for witness, conditions in found:
-        report = facet_report(witness, cut, t=3, conditions=conditions)
+        report = facet_report(conditions, level)
         assert report.facet
 
 

@@ -551,18 +551,25 @@ def test_usage_error_is_one_line(case, tmp_path):
     assert one_line_error(argv, tmp_path) == line
 
 
+def counting_enumerations(monkeypatch):
+    """Record the vertex count of every graph whose stable sets facets
+    lists."""
+    calls = []
+
+    def counting_enumeration(g):
+        calls.append(g.n)
+        return mwss.enumerate_stable_sets(g)
+
+    monkeypatch.setattr(facets, "enumerate_stable_sets", counting_enumeration)
+    return calls
+
+
 def test_facet_check_without_a_seed_reports_the_walk_face_once(
         capsys, monkeypatch):
     # without --lift-seed no cut is lifted; each witness reports the
     # dimension of the face of the whole walk, which depends on the trace
-    # alone and is computed once for all of them
-    calls = []
-
-    def counting_face_dimension(g, equalities):
-        calls.append(len(equalities))
-        return facets.face_dimension(g, equalities)
-
-    monkeypatch.setattr(cli, "face_dimension", counting_face_dimension)
+    # alone, so its stable sets are listed once for all of them
+    calls = counting_enumerations(monkeypatch)
     monkeypatch.chdir(GOLDEN)
     code, out, err = run_cli(capsys, "facet-check", "example8_trace.json",
                              "--find", "--format", "csv")
@@ -582,20 +589,14 @@ def test_facet_check_without_a_seed_reports_the_walk_face_once(
         '1,dim_face,5\n'
         '1,k,3\n'
         '1,predicted_facet,true\n')
-    assert calls == [3]
+    assert calls == [8]
 
 
-def test_golden_facet_check_enumerates_stable_sets_twice(capsys, monkeypatch):
-    # each witness's facet report lists the level face once and reads the
-    # cut's tight subface off that list, so the two witnesses found cost two
-    # enumerations of the stable sets
-    calls = []
-
-    def counting_enumeration(g):
-        calls.append(g.n)
-        return mwss.enumerate_stable_sets(g)
-
-    monkeypatch.setattr(facets, "enumerate_stable_sets", counting_enumeration)
+def test_golden_facet_check_enumerates_stable_sets_once(capsys, monkeypatch):
+    # the level face is listed once per run and the cut's tight subface is
+    # read off that list; every witness's facet report judges those two
+    # dimensions, so the two witnesses found cost one enumeration, not two
+    calls = counting_enumerations(monkeypatch)
     monkeypatch.chdir(GOLDEN)
     code, out, _ = run_cli(capsys, "facet-check", "example8_trace.json",
                            "--find", "--lift-seed", "1,4,5,6,7",
@@ -603,7 +604,7 @@ def test_golden_facet_check_enumerates_stable_sets_twice(capsys, monkeypatch):
     assert code == 0
     with open("facet_check_example8.json", newline="") as fh:
         assert out == fh.read()
-    assert len(calls) <= 2
+    assert calls == [8]
 
 
 BAD_LIFT_SEEDS = {
@@ -687,6 +688,39 @@ def test_bench_worker_processes_match_serial_run(capsys):
     assert code == 0
     code, pooled, _ = run_cli(capsys, *args, "--jobs", "2")
     assert code == 0
+    assert pooled == serial
+
+
+def test_jobs_start_no_more_processes_than_runs(capsys, tmp_path,
+                                                monkeypatch):
+    # the pool starts all of its workers on the first submit, so --jobs 64
+    # over two runs would fork 64 processes; a recording stand-in for the
+    # pool runs the jobs in this process and keeps the size asked for
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    args = ["bound", c5_file(tmp_path), "--proc", "c,b"]
+    code, serial, _ = run_cli(capsys, *args)
+    assert code == 0
+    code, pooled, _ = run_cli(capsys, *args, "--jobs", "64")
+    assert code == 0
+    assert sizes == [2]
     assert pooled == serial
 
 

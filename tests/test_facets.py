@@ -2,9 +2,11 @@ import hashlib
 import random
 from itertools import product
 
+import pytest
 from conftest import (EXAMPLE8_SEED, EXAMPLE8_W1, EXAMPLE8_W2, EXAMPLE8_W3,
                       random_maximal_clique, random_trace)
 
+from stabcut import facets, mwss
 from stabcut.cliques import enumerate_cliques_bounded
 from stabcut.facets import (WITNESS_MAX_K, assert_facet_of_Ft,
                             check_condition_I, check_condition_IV,
@@ -12,8 +14,8 @@ from stabcut.facets import (WITNESS_MAX_K, assert_facet_of_Ft,
                             check_interWV, check_seed, check_strong_hypertree,
                             condition_iv_holds_for, condition_report,
                             face_dimension, facet_report, find_witnesses,
-                            verify_class_equality, verify_isomorphism,
-                            witness_from_trace)
+                            level_dimensions, verify_class_equality,
+                            verify_isomorphism, witness_from_trace)
 from stabcut.graph import Graph, random_graph
 from stabcut.lifting import Inequality, clique_inequality, strengthened_lift
 from stabcut.projection import ProjectionTrace, extend_trace
@@ -204,7 +206,9 @@ def test_slack_inequality_has_empty_face(example8):
 def test_facet_report_on_example(example8_trace):
     witness = ex8_witness(example8_trace)
     cut = strengthened_lift(example8_trace, seed=EXAMPLE8_SEED)
-    report = facet_report(witness, cut, t=3)
+    level = level_dimensions(example8_trace, 3, cut.level_form(3))
+    report = facet_report(condition_report(example8_trace, witness, cut.seed),
+                          level)
     assert report.predicted
     assert report.conditions == {"interWV": True, "I": True, "II": True,
                                  "III": True, "IV": True, "V": True,
@@ -242,6 +246,23 @@ def test_isomorphism_fails_on_bad_labeling(example8_trace):
     relabeled = witness_from_trace(example8_trace, [(1, 3), (0,), (2, 4)])
     assert not verify_isomorphism(example8_trace, relabeled,
                                   representative=(0, 1))
+
+
+def test_isomorphism_past_the_oracle_limit_lists_nothing(monkeypatch):
+    # the final graph's 81,920 stable sets were listed before the walk face
+    # refused its 17 vertices; the limit must come first
+    calls = []
+
+    def counting_enumeration(g):
+        calls.append(g.n)
+        return mwss.enumerate_stable_sets(g)
+
+    monkeypatch.setattr(facets, "enumerate_stable_sets", counting_enumeration)
+    trace = extend_trace(ProjectionTrace(Graph(17, [(0, 1), (1, 2)])), (0, 1))
+    witness = witness_from_trace(trace, [(0,), (1,)], representative=(0,))
+    with pytest.raises(ValueError, match="n must be <= 16"):
+        verify_isomorphism(trace, witness)
+    assert calls == []
 
 
 def test_find_witnesses_on_example(example8_trace):
