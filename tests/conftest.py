@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from stabcut import facets
 from stabcut.graph import Graph, bits, mask_of
 from stabcut.lifting import EPS, ValidityReport
 from stabcut.mwss import enumerate_stable_sets
@@ -64,6 +65,20 @@ def path6():
     """Path 0-1-2-3-4-5; used as the engineered failure case for the
     neighborhood-routing facet condition."""
     return Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], name="path6")
+
+
+@pytest.fixture
+def face_listings(monkeypatch):
+    """The vertex count of every graph whose stable sets the facet toolkit
+    lists while the test runs; enumerate_stable_sets is its one lister."""
+    calls = []
+
+    def counting_enumeration(g):
+        calls.append(g.n)
+        return enumerate_stable_sets(g)
+
+    monkeypatch.setattr(facets, "enumerate_stable_sets", counting_enumeration)
+    return calls
 
 
 @pytest.fixture

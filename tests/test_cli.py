@@ -10,7 +10,7 @@ import pytest
 
 from conftest import EXAMPLE8_EDGES, NoClock
 from test_golden import GOLDEN
-from stabcut import cli, facets, mwss
+from stabcut import cli, mwss
 from stabcut.benchmarks import BENCHMARKS
 from stabcut.cli import main
 from stabcut.engine import VERIFY_MAX_NODES
@@ -551,25 +551,11 @@ def test_usage_error_is_one_line(case, tmp_path):
     assert one_line_error(argv, tmp_path) == line
 
 
-def counting_enumerations(monkeypatch):
-    """Record the vertex count of every graph whose stable sets facets
-    lists."""
-    calls = []
-
-    def counting_enumeration(g):
-        calls.append(g.n)
-        return mwss.enumerate_stable_sets(g)
-
-    monkeypatch.setattr(facets, "enumerate_stable_sets", counting_enumeration)
-    return calls
-
-
 def test_facet_check_without_a_seed_reports_the_walk_face_once(
-        capsys, monkeypatch):
+        capsys, monkeypatch, face_listings):
     # without --lift-seed no cut is lifted; each witness reports the
     # dimension of the face of the whole walk, which depends on the trace
     # alone, so its stable sets are listed once for all of them
-    calls = counting_enumerations(monkeypatch)
     monkeypatch.chdir(GOLDEN)
     code, out, err = run_cli(capsys, "facet-check", "example8_trace.json",
                              "--find", "--format", "csv")
@@ -589,14 +575,14 @@ def test_facet_check_without_a_seed_reports_the_walk_face_once(
         '1,dim_face,5\n'
         '1,k,3\n'
         '1,predicted_facet,true\n')
-    assert calls == [8]
+    assert face_listings == [8]
 
 
-def test_golden_facet_check_enumerates_stable_sets_once(capsys, monkeypatch):
+def test_golden_facet_check_enumerates_stable_sets_once(capsys, monkeypatch,
+                                                        face_listings):
     # the level face is listed once per run and the cut's tight subface is
     # read off that list; every witness's facet report judges those two
     # dimensions, so the two witnesses found cost one enumeration, not two
-    calls = counting_enumerations(monkeypatch)
     monkeypatch.chdir(GOLDEN)
     code, out, _ = run_cli(capsys, "facet-check", "example8_trace.json",
                            "--find", "--lift-seed", "1,4,5,6,7",
@@ -604,7 +590,7 @@ def test_golden_facet_check_enumerates_stable_sets_once(capsys, monkeypatch):
     assert code == 0
     with open("facet_check_example8.json", newline="") as fh:
         assert out == fh.read()
-    assert calls == [8]
+    assert face_listings == [8]
 
 
 BAD_LIFT_SEEDS = {

@@ -6,7 +6,6 @@ import pytest
 from conftest import (EXAMPLE8_SEED, EXAMPLE8_W1, EXAMPLE8_W2, EXAMPLE8_W3,
                       random_maximal_clique, random_trace)
 
-from stabcut import facets, mwss
 from stabcut.cliques import enumerate_cliques_bounded
 from stabcut.facets import (WITNESS_MAX_K, assert_facet_of_Ft,
                             check_condition_I, check_condition_IV,
@@ -248,21 +247,14 @@ def test_isomorphism_fails_on_bad_labeling(example8_trace):
                                   representative=(0, 1))
 
 
-def test_isomorphism_past_the_oracle_limit_lists_nothing(monkeypatch):
+def test_isomorphism_past_the_oracle_limit_lists_nothing(face_listings):
     # the final graph's 81,920 stable sets were listed before the walk face
     # refused its 17 vertices; the limit must come first
-    calls = []
-
-    def counting_enumeration(g):
-        calls.append(g.n)
-        return mwss.enumerate_stable_sets(g)
-
-    monkeypatch.setattr(facets, "enumerate_stable_sets", counting_enumeration)
     trace = extend_trace(ProjectionTrace(Graph(17, [(0, 1), (1, 2)])), (0, 1))
     witness = witness_from_trace(trace, [(0,), (1,)], representative=(0,))
     with pytest.raises(ValueError, match="n must be <= 16"):
         verify_isomorphism(trace, witness)
-    assert calls == []
+    assert face_listings == []
 
 
 def test_find_witnesses_on_example(example8_trace):
